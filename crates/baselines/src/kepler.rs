@@ -11,7 +11,8 @@
 
 use mashup_cloud::ClusterTaskSpec;
 use mashup_core::{
-    CloudEnv, MashupConfig, PlacementPlan, Platform, TaskReport, TraceEvent, Tracer, WorkflowReport,
+    preflight, AnalysisError, CloudEnv, MashupConfig, PlacementPlan, Platform, TaskReport,
+    TraceEvent, Tracer, WorkflowReport,
 };
 use mashup_dag::{TaskRef, Workflow};
 use mashup_sim::{shared, Shared};
@@ -34,18 +35,17 @@ struct Driver {
     tracer: Tracer,
 }
 
-/// Runs the workflow with dataflow-fired task scheduling on the cluster.
-pub fn run_kepler(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_kepler_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_kepler`] with a flight recorder attached to the environment and
-/// the dataflow driver (task start/end events carry the firing order).
-pub fn run_kepler_traced(
+/// Runs the workflow with dataflow-fired task scheduling on the cluster,
+/// recording the environment and the dataflow driver into `tracer` (task
+/// start/end events carry the firing order). Inputs are preflighted like
+/// every other all-VM run.
+pub fn run_kepler(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
+    let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
+    preflight(cfg, workflow, Some(&plan))?;
     let mut env = CloudEnv::new(cfg);
     env.attach_tracer(tracer.clone());
     env.cluster.start_billing(env.sim.now());
@@ -85,15 +85,15 @@ pub fn run_kepler_traced(
     env.store.finalize(finished_at);
 
     let d = driver.borrow();
-    WorkflowReport {
+    Ok(WorkflowReport {
         workflow: workflow.name.clone(),
         strategy: "kepler".into(),
         cluster_nodes: cfg.cluster.nodes,
         makespan_secs: finished_at.as_secs(),
         expense: env.meter.expense(cfg.provider.storage.price_per_gb_month),
-        plan: PlacementPlan::uniform(workflow, Platform::VmCluster),
+        plan,
         tasks: d.reports.clone(),
-    }
+    })
 }
 
 fn spawn(sim: &mut mashup_sim::Simulation, driver: Shared<Driver>, r: TaskRef) {
@@ -211,8 +211,8 @@ mod tests {
     fn kepler_pipelines_across_phase_barriers() {
         let w = pipelined_workflow();
         let cfg = MashupConfig::aws(4);
-        let kepler = run_kepler(&cfg, &w);
-        let traditional = crate::traditional::run_traditional(&cfg, &w);
+        let kepler = run_kepler(&cfg, &w, &Tracer::off()).unwrap();
+        let traditional = crate::run_traditional(&cfg, &w, &Tracer::off()).unwrap();
         // Kepler: after-fast starts at 5 s, everything done at 100 s.
         // Traditional: after-fast starts at 100 s, done at 150 s.
         assert!(
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn kepler_respects_dependencies() {
         let w = pipelined_workflow();
-        let r = run_kepler(&MashupConfig::aws(4), &w);
+        let r = run_kepler(&MashupConfig::aws(4), &w, &Tracer::off()).unwrap();
         let fast = r.task("fast").expect("exists");
         let after = r.task("after-fast").expect("exists");
         assert!(after.start_secs >= fast.end_secs - 1e-9);
@@ -238,7 +238,7 @@ mod tests {
     #[test]
     fn kepler_bills_vm_only() {
         let w = pipelined_workflow();
-        let r = run_kepler(&MashupConfig::aws(4), &w);
+        let r = run_kepler(&MashupConfig::aws(4), &w, &Tracer::off()).unwrap();
         assert!(r.expense.vm_dollars > 0.0);
         assert_eq!(r.expense.faas_dollars, 0.0);
         assert_eq!(r.expense.storage_dollars, 0.0);

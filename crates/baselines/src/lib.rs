@@ -12,11 +12,12 @@
 //! * [`run_fusion`] — Costless-like: greedy function fusion to a fixpoint
 //!   ([`maximal_fusion`]), then everything on FaaS.
 //!
-//! All of them return the same [`mashup_core::WorkflowReport`] as Mashup, so
-//! the bench harness compares them uniformly. Every baseline also has a
-//! `*_traced` variant that records the execution into a
-//! [`mashup_core::Tracer`] flight recorder — the traced run is always
-//! byte-identical to the untraced one.
+//! Each baseline is one function that records its execution into a
+//! [`mashup_core::Tracer`] flight recorder (pass `Tracer::off()` for an
+//! unrecorded run; the report is byte-identical either way) and returns the
+//! same [`mashup_core::WorkflowReport`] as Mashup, or the analyzer's typed
+//! refusal. [`Strategy`] registers every baseline together with Mashup and
+//! Mashup without the PDC, so callers run any of them the same way.
 
 #![warn(missing_docs)]
 
@@ -24,12 +25,12 @@ mod fusion;
 mod kepler;
 mod pegasus;
 mod serverless_only;
+mod strategy;
 mod traditional;
 
-pub use fusion::{maximal_fusion, run_fusion, run_fusion_traced};
-pub use kepler::{run_kepler, run_kepler_traced};
-pub use pegasus::{cluster_tasks, run_pegasus, run_pegasus_traced};
-pub use serverless_only::{run_serverless_only, run_serverless_only_traced};
-pub use traditional::{
-    run_traditional, run_traditional_traced, run_traditional_tuned, run_traditional_tuned_traced,
-};
+pub use fusion::{maximal_fusion, run_fusion};
+pub use kepler::run_kepler;
+pub use pegasus::{cluster_tasks, run_pegasus};
+pub use serverless_only::run_serverless_only;
+pub use strategy::Strategy;
+pub use traditional::{run_traditional, run_traditional_tuned};

@@ -11,47 +11,41 @@
 //! approach more competitive." [`run_traditional_tuned`] reproduces that by
 //! searching over sub-cluster splits and keeping the best.
 
-use mashup_core::{execute_traced, MashupConfig, PlacementPlan, Platform, Tracer, WorkflowReport};
+use mashup_core::{
+    try_execute_traced, AnalysisError, MashupConfig, PlacementPlan, Platform, Tracer,
+    WorkflowReport,
+};
 use mashup_dag::Workflow;
 
-/// Runs the workflow entirely on the configured VM cluster.
-pub fn run_traditional(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_traditional_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_traditional`] with a flight recorder attached to the execution.
-pub fn run_traditional_traced(
+/// Runs the workflow entirely on the configured VM cluster, recording the
+/// execution into `tracer` (pass [`Tracer::off`] for an unrecorded run).
+pub fn run_traditional(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
     let plan = PlacementPlan::uniform(workflow, Platform::VmCluster);
-    execute_traced(cfg, workflow, &plan, "traditional", tracer)
+    try_execute_traced(cfg, workflow, &plan, "traditional", tracer)
 }
 
-/// Runs the traditional baseline under each sub-cluster split in `splits`
-/// (clamped to the node count) and returns the best-makespan report — the
-/// paper's strengthened baseline.
-pub fn run_traditional_tuned(cfg: &MashupConfig, workflow: &Workflow) -> WorkflowReport {
-    run_traditional_tuned_traced(cfg, workflow, &Tracer::off())
-}
-
-/// [`run_traditional_tuned`] with a flight recorder. The split search runs
-/// unrecorded (its rejected candidates are not part of the chosen
-/// execution); the winning split is re-run traced, which — execution being
-/// deterministic — reproduces the winning report exactly.
-pub fn run_traditional_tuned_traced(
+/// Runs the traditional baseline under each sub-cluster split (clamped to
+/// the node count) and returns the best-makespan report — the paper's
+/// strengthened baseline. The split search runs unrecorded (its rejected
+/// candidates are not part of the chosen execution); the winning split is
+/// re-run into `tracer`, which — execution being deterministic —
+/// reproduces the winning report exactly.
+pub fn run_traditional_tuned(
     cfg: &MashupConfig,
     workflow: &Workflow,
     tracer: &Tracer,
-) -> WorkflowReport {
+) -> Result<WorkflowReport, AnalysisError> {
     let mut best: Option<(usize, WorkflowReport)> = None;
     for k in [1usize, 2, 4] {
         if k > cfg.cluster.nodes {
             continue;
         }
         let tuned = cfg.clone().with_subclusters(k);
-        let report = run_traditional(&tuned, workflow);
+        let report = run_traditional(&tuned, workflow, &Tracer::off())?;
         // Same hysteresis as the PDC: a finer split must clearly win.
         let better = match &best {
             None => true,
@@ -63,9 +57,9 @@ pub fn run_traditional_tuned_traced(
     }
     let (k, report) = best.expect("at least the single-cluster split always runs");
     if !tracer.is_on() {
-        return report;
+        return Ok(report);
     }
-    run_traditional_traced(&cfg.clone().with_subclusters(k), workflow, tracer)
+    run_traditional(&cfg.clone().with_subclusters(k), workflow, tracer)
 }
 
 #[cfg(test)]
@@ -93,7 +87,7 @@ mod tests {
     #[test]
     fn traditional_never_touches_serverless() {
         let w = contended_workflow();
-        let r = run_traditional(&MashupConfig::aws(4), &w);
+        let r = run_traditional(&MashupConfig::aws(4), &w, &Tracer::off()).unwrap();
         assert_eq!(r.expense.faas_dollars, 0.0);
         assert_eq!(r.expense.storage_dollars, 0.0);
         assert_eq!(r.plan.count(Platform::Serverless), 0);
@@ -103,8 +97,8 @@ mod tests {
     fn tuned_baseline_is_at_least_as_good() {
         let w = contended_workflow();
         let cfg = MashupConfig::aws(4);
-        let plain = run_traditional(&cfg, &w);
-        let tuned = run_traditional_tuned(&cfg, &w);
+        let plain = run_traditional(&cfg, &w, &Tracer::off()).unwrap();
+        let tuned = run_traditional_tuned(&cfg, &w, &Tracer::off()).unwrap();
         assert!(tuned.makespan_secs <= plain.makespan_secs + 1e-9);
     }
 
@@ -112,8 +106,8 @@ mod tests {
     fn split_helps_master_contended_workflows() {
         let w = contended_workflow();
         let cfg = MashupConfig::aws(4);
-        let single = run_traditional(&cfg, &w);
-        let split = run_traditional(&cfg.clone().with_subclusters(2), &w);
+        let single = run_traditional(&cfg, &w, &Tracer::off()).unwrap();
+        let split = run_traditional(&cfg.clone().with_subclusters(2), &w, &Tracer::off()).unwrap();
         assert!(
             split.makespan_secs < single.makespan_secs,
             "split {} vs single {}",

@@ -12,7 +12,7 @@
 //! with each chain's spans merged.
 
 use mashup_baselines::maximal_fusion;
-use mashup_core::{execute_traced, MashupConfig, PlacementPlan, Platform, Tracer};
+use mashup_core::{try_execute_traced, MashupConfig, PlacementPlan, Platform, Tracer};
 use mashup_dag::{DependencyPattern, Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_sim::TraceEvent;
 use proptest::prelude::*;
@@ -97,8 +97,8 @@ proptest! {
         let tr_f = Tracer::new();
         let plan_u = PlacementPlan::uniform(&w, Platform::Serverless);
         let plan_f = PlacementPlan::uniform(&fused, Platform::Serverless);
-        let r_u = execute_traced(&cfg, &w, &plan_u, "pipe", &tr_u);
-        let r_f = execute_traced(&cfg, &fused, &plan_f, "pipe", &tr_f);
+        let r_u = try_execute_traced(&cfg, &w, &plan_u, "pipe", &tr_u).unwrap();
+        let r_f = try_execute_traced(&cfg, &fused, &plan_f, "pipe", &tr_f).unwrap();
 
         // Time and expense, bit for bit.
         prop_assert_eq!(

@@ -7,7 +7,7 @@ use mashup_cloud::{
     run_task_on_faas, ClusterConfig, ClusterTaskSpec, CostMeter, FaasConfig, FaasPlatform,
     FaasTaskSpec, InstanceType, ObjectStore, StorageConfig, VmCluster,
 };
-use mashup_core::{execute, MashupConfig, Pdc, PlacementPlan, Platform};
+use mashup_core::{try_execute, MashupConfig, Pdc, PlacementPlan, Platform};
 use mashup_sim::{SeedSource, SharedLink, SimDuration, Simulation};
 use std::hint::black_box;
 
@@ -85,7 +85,7 @@ fn bench_hybrid_execute(c: &mut Criterion) {
         plan.set(mashup_dag::TaskRef::new(0, 0), Platform::Serverless);
         b.iter_batched(
             || (cfg.clone(), w.clone(), plan.clone()),
-            |(cfg, w, plan)| black_box(execute(&cfg, &w, &plan, "bench")),
+            |(cfg, w, plan)| black_box(try_execute(&cfg, &w, &plan, "bench").unwrap()),
             BatchSize::SmallInput,
         )
     });

@@ -7,7 +7,8 @@
 //! are recorded in `EXPERIMENTS.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use mashup_bench::{run_strategy, Strategy};
+use mashup_baselines::Strategy;
+use mashup_bench::run_strategy;
 use mashup_core::{MashupConfig, Objective, Pdc};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
 use std::hint::black_box;

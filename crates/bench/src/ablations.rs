@@ -2,9 +2,12 @@
 //! the PDC itself, checkpointing across the FaaS cap, the warm-pool
 //! exception for recurring tasks, pre-warming, and sub-cluster splits.
 
-use crate::strategies::{run_strategy, Strategy};
+use crate::strategies::run_strategy;
 use crate::table::{pct, Table};
-use mashup_core::{execute, improvement_pct, MashupConfig, PlacementPlan, Platform};
+use mashup_baselines::Strategy;
+use mashup_core::{
+    improvement_pct, try_execute, MashupConfig, PlacementPlan, Platform, WorkflowReport,
+};
 use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_workflows::{epigenomics, srasearch};
 use serde::Serialize;
@@ -39,6 +42,17 @@ fn row(mechanism: &str, workload: &str, with_secs: f64, without_secs: f64) -> Ab
         without_secs,
         improvement_pct: improvement_pct(with_secs, without_secs),
     }
+}
+
+/// Executes one of the fixed ablation inputs below, all of which pass
+/// preflight (the module's tests run every ablation).
+fn run_fixed(
+    cfg: &MashupConfig,
+    w: &Workflow,
+    plan: &PlacementPlan,
+    label: &str,
+) -> WorkflowReport {
+    try_execute(cfg, w, plan, label).unwrap_or_else(|e| panic!("ablation '{label}': {e}"))
 }
 
 /// Ablation 1 — the PDC: full Mashup vs the component-count threshold.
@@ -83,14 +97,14 @@ fn ablate_checkpointing() -> Vec<AblationRow> {
     let lean = {
         let mut cfg = MashupConfig::aws(2);
         cfg.checkpoint_margin_secs = 30.0;
-        execute(&cfg, &w, &plan, "ckpt-30s")
+        run_fixed(&cfg, &w, &plan, "ckpt-30s")
     };
     let fat = {
         // A pathologically wide margin wastes most of each window — the
         // degenerate end of the checkpointing design space.
         let mut cfg = MashupConfig::aws(2);
         cfg.checkpoint_margin_secs = 700.0;
-        execute(&cfg, &w, &plan, "ckpt-700s")
+        run_fixed(&cfg, &w, &plan, "ckpt-700s")
     };
     vec![row(
         "checkpoint-margin-30s-vs-700s",
@@ -116,8 +130,8 @@ fn ablate_prewarm() -> Vec<AblationRow> {
     on.prewarm = true;
     let mut off = on.clone();
     off.prewarm = false;
-    let with = execute(&on, &w, &plan, "prewarm-on");
-    let without = execute(&off, &w, &plan, "prewarm-off");
+    let with = run_fixed(&on, &w, &plan, "prewarm-on");
+    let without = run_fixed(&off, &w, &plan, "prewarm-off");
     vec![AblationRow {
         mechanism: "prewarm (cold-start seconds)".into(),
         workload: w.name.clone(),
@@ -150,9 +164,9 @@ fn ablate_warm_family() -> Vec<AblationRow> {
     };
     let mut cfg = MashupConfig::aws(8);
     cfg.prewarm = false; // isolate the family-reuse effect
-    let with = execute(&cfg, &shared, &plan_for(&shared), "family-shared");
-    let without = execute(&cfg, &split, &plan_for(&split), "family-split");
-    let cold = |r: &mashup_core::WorkflowReport| r.task("Mapmerge2").expect("ran").n_cold as f64;
+    let with = run_fixed(&cfg, &shared, &plan_for(&shared), "family-shared");
+    let without = run_fixed(&cfg, &split, &plan_for(&split), "family-split");
+    let cold = |r: &WorkflowReport| r.task("Mapmerge2").expect("ran").n_cold as f64;
     vec![AblationRow {
         mechanism: "code-family warm reuse (Mapmerge2 cold starts)".into(),
         workload: shared.name.clone(),

@@ -9,9 +9,10 @@
 //! fault comes from the schedule and every run is bit-reproducible, so
 //! the cell regenerates byte-identically.
 
-use crate::strategies::{run_strategy, Strategy};
+use crate::strategies::run_strategy;
 use crate::sweep::par_map;
 use crate::table::{f1, pct, usd, Table};
+use mashup_baselines::Strategy;
 use mashup_cloud::{Fault, FaultPlan};
 use mashup_core::{improvement_pct, ChaosSpec, MashupConfig};
 use mashup_workflows::{epigenomics, genome1000, srasearch};

@@ -1,9 +1,10 @@
 //! One harness function per paper table/figure. See `EXPERIMENTS.md` for
 //! paper-vs-measured numbers.
 
-use crate::strategies::{run_strategy, Strategy};
+use crate::strategies::run_strategy;
 use crate::sweep::par_map;
 use crate::table::{f1, pct, usd, Table};
+use mashup_baselines::Strategy;
 use mashup_core::{improvement_pct, Mashup, MashupConfig, Objective, Platform};
 use mashup_dag::{Task, TaskProfile, Workflow, WorkflowBuilder};
 use mashup_workflows::{epigenomics, genome1000, srasearch};
@@ -307,7 +308,10 @@ pub fn fig05_objectives() -> Fig05 {
             } else {
                 mashup_core::Tracer::off()
             };
-            let o = engine.with_tracer(tracer.clone()).run(&w);
+            let o = engine
+                .with_tracer(tracer.clone())
+                .try_run(&w)
+                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
             if tracer.is_on() {
                 crate::trace_dir::write_trace(
                     &o.report.workflow,

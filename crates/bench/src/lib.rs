@@ -30,6 +30,6 @@ pub use chaos::{fig13_adaptive, Fig13, Fig13Row};
 pub use figures::*;
 pub use plan_cache::{plan_cache, plan_cache_enabled, plan_cache_stats, set_plan_cache_enabled};
 pub use preflight::preflight_paper_inputs;
-pub use strategies::{run_strategy, run_strategy_traced, Strategy};
+pub use strategies::run_strategy;
 pub use sweep::{jobs, par_map, set_jobs};
 pub use trace_dir::{set_trace_dir, trace_dir};

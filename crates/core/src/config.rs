@@ -235,9 +235,8 @@ impl CloudEnv {
     /// distinct non-base tier in `sizing`. Each platform derives its
     /// stochastic streams from a tier-labelled seed child, charges the
     /// shared meter, and maintains its own warm pools (a 2 GB function
-    /// cannot reuse a 0.5 GB microVM). Call before
-    /// [`attach_tracer`](CloudEnv::attach_tracer) so tier platforms are
-    /// traced too.
+    /// cannot reuse a 0.5 GB microVM). New platforms record into the
+    /// environment's attached tracer, if any.
     pub fn provision_tiers(&mut self, cfg: &MashupConfig, sizing: &Sizing) {
         let base = tier_key(cfg.provider.faas.memory_gb);
         for gb in sizing.distinct_tiers() {
@@ -246,10 +245,9 @@ impl CloudEnv {
                 continue;
             }
             let seeds = self.seeds.child(&format!("faas-tier-{key}"));
-            self.tier_faas.insert(
-                key,
-                FaasPlatform::new(cfg.faas_tier(gb), self.meter.clone(), &seeds),
-            );
+            let platform = FaasPlatform::new(cfg.faas_tier(gb), self.meter.clone(), &seeds);
+            platform.set_tracer(self.sim.tracer().clone());
+            self.tier_faas.insert(key, platform);
         }
     }
 

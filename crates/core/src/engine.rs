@@ -3,7 +3,6 @@
 use crate::cache::PlanCache;
 use crate::config::MashupConfig;
 use crate::exec::try_execute_traced;
-use crate::naive::plan_without_pdc;
 use crate::pdc::{Objective, Pdc, PdcReport};
 use crate::report::WorkflowReport;
 use mashup_analyze::AnalysisError;
@@ -35,7 +34,7 @@ pub struct MashupOutcome {
 /// b.add_task(Task::new("wide", 64, TaskProfile::trivial().compute(5.0)));
 /// let workflow = b.build().expect("valid");
 ///
-/// let outcome = Mashup::new(MashupConfig::aws(2)).run(&workflow);
+/// let outcome = Mashup::new(MashupConfig::aws(2)).try_run(&workflow).expect("clean inputs");
 /// assert!(outcome.report.makespan_secs > 0.0);
 /// ```
 pub struct Mashup {
@@ -84,16 +83,8 @@ impl Mashup {
     }
 
     /// Full pipeline: PDC profiling + decision, then hybrid execution on
-    /// the VM configuration the PDC found best.
-    ///
-    /// Panics when the analyzer refuses the inputs; use [`Mashup::try_run`]
-    /// for a typed refusal.
-    pub fn run(&self, workflow: &Workflow) -> MashupOutcome {
-        self.try_run(workflow).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Mashup::run`], but refuses error-diagnosed inputs with a
-    /// typed [`AnalysisError`] instead of panicking mid-simulation.
+    /// the VM configuration the PDC found best. Error-diagnosed inputs are
+    /// refused with a typed [`AnalysisError`] before any simulation runs.
     pub fn try_run(&self, workflow: &Workflow) -> Result<MashupOutcome, AnalysisError> {
         let mut pdc = Pdc::new(self.cfg.clone())
             .with_objective(self.objective)
@@ -105,25 +96,6 @@ impl Mashup {
         let tuned = self.cfg.clone().with_subclusters(pdc.subclusters);
         let report = try_execute_traced(&tuned, workflow, &pdc.plan, "mashup", &self.tracer)?;
         Ok(MashupOutcome { pdc, report })
-    }
-
-    /// Executes with the w/o-PDC threshold plan (paper's "Mashup w/o PDC").
-    ///
-    /// Panics when the analyzer refuses the inputs; use
-    /// [`Mashup::try_run_without_pdc`] for a typed refusal.
-    pub fn run_without_pdc(&self, workflow: &Workflow) -> WorkflowReport {
-        self.try_run_without_pdc(workflow)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`Mashup::run_without_pdc`], but refuses error-diagnosed inputs
-    /// with a typed [`AnalysisError`] instead of panicking mid-simulation.
-    pub fn try_run_without_pdc(
-        &self,
-        workflow: &Workflow,
-    ) -> Result<WorkflowReport, AnalysisError> {
-        let plan = plan_without_pdc(&self.cfg, workflow);
-        try_execute_traced(&self.cfg, workflow, &plan, "mashup-wo-pdc", &self.tracer)
     }
 }
 
@@ -158,13 +130,14 @@ mod tests {
     fn mashup_beats_or_matches_both_pure_strategies_on_small_clusters() {
         let w = wf();
         let cfg = MashupConfig::aws(2);
-        let outcome = Mashup::new(cfg.clone()).run(&w);
-        let traditional = crate::exec::execute(
+        let outcome = Mashup::new(cfg.clone()).try_run(&w).unwrap();
+        let traditional = crate::exec::try_execute(
             &cfg,
             &w,
             &crate::placement::PlacementPlan::uniform(&w, crate::placement::Platform::VmCluster),
             "traditional",
-        );
+        )
+        .unwrap();
         // 128 components on 4 slots is wave-bound; hybrid must win.
         assert!(
             outcome.report.makespan_secs < traditional.makespan_secs,
@@ -177,7 +150,7 @@ mod tests {
     #[test]
     fn outcome_contains_consistent_plan() {
         let w = wf();
-        let outcome = Mashup::new(MashupConfig::aws(2)).run(&w);
+        let outcome = Mashup::new(MashupConfig::aws(2)).try_run(&w).unwrap();
         assert!(outcome.pdc.plan.covers(&w));
         assert_eq!(outcome.report.plan, outcome.pdc.plan);
         assert_eq!(outcome.report.strategy, "mashup");
@@ -188,25 +161,20 @@ mod tests {
     fn cached_runs_match_uncached_runs_exactly() {
         let w = wf();
         let cfg = MashupConfig::aws(2);
-        let uncached = Mashup::new(cfg.clone()).run(&w);
+        let uncached = Mashup::new(cfg.clone()).try_run(&w).unwrap();
         let cache = Arc::new(PlanCache::new());
-        let cold = Mashup::new(cfg.clone()).with_cache(cache.clone()).run(&w);
-        let warm = Mashup::new(cfg).with_cache(cache.clone()).run(&w);
+        let cold = Mashup::new(cfg.clone())
+            .with_cache(cache.clone())
+            .try_run(&w)
+            .unwrap();
+        let warm = Mashup::new(cfg)
+            .with_cache(cache.clone())
+            .try_run(&w)
+            .unwrap();
         assert_eq!(uncached, cold);
         assert_eq!(uncached, warm);
         let stats = cache.stats();
         assert!(stats.hits() > 0, "warm run must hit the cache");
         assert_eq!(stats.misses(), stats.entries());
-    }
-
-    #[test]
-    fn without_pdc_uses_threshold_plan() {
-        let w = wf();
-        let report = Mashup::new(MashupConfig::aws(2)).run_without_pdc(&w);
-        assert_eq!(report.strategy, "mashup-wo-pdc");
-        let wide = report.task("wide").expect("exists");
-        assert_eq!(wide.platform, crate::placement::Platform::Serverless);
-        let merge = report.task("merge").expect("exists");
-        assert_eq!(merge.platform, crate::placement::Platform::VmCluster);
     }
 }

@@ -140,43 +140,20 @@ struct EnvHandles {
 
 /// Executes `workflow` under `plan` in a fresh environment built from
 /// `cfg`, returning the full report. `strategy` labels the report.
-///
-/// Panics when the analyzer refuses the inputs; use [`try_execute`] for a
-/// typed refusal.
-pub fn execute(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-) -> WorkflowReport {
-    try_execute(cfg, workflow, plan, strategy).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute`], but refuses error-diagnosed inputs with a typed
-/// [`AnalysisError`] instead of panicking mid-simulation.
+/// Error-diagnosed inputs are refused with a typed [`AnalysisError`]
+/// before the simulation starts.
 pub fn try_execute(
     cfg: &MashupConfig,
     workflow: &Workflow,
     plan: &PlacementPlan,
     strategy: &str,
 ) -> Result<WorkflowReport, AnalysisError> {
-    let mut env = CloudEnv::new(cfg);
-    try_execute_in(&mut env, cfg, workflow, plan, strategy)
+    try_execute_in(&mut CloudEnv::new(cfg), cfg, workflow, plan, None, strategy)
 }
 
-/// Like [`execute`], but records the run into `tracer` (a fresh environment
-/// is built and the recorder attached to every mechanism before execution).
-pub fn execute_traced(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-    tracer: &Tracer,
-) -> WorkflowReport {
-    try_execute_traced(cfg, workflow, plan, strategy, tracer).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`try_execute`], but records the run into `tracer`.
+/// Like [`try_execute`], but records the run into `tracer` (a fresh
+/// environment is built and the recorder attached to every mechanism
+/// before execution).
 pub fn try_execute_traced(
     cfg: &MashupConfig,
     workflow: &Workflow,
@@ -186,78 +163,47 @@ pub fn try_execute_traced(
 ) -> Result<WorkflowReport, AnalysisError> {
     let mut env = CloudEnv::new(cfg);
     env.attach_tracer(tracer.clone());
-    try_execute_in(&mut env, cfg, workflow, plan, strategy)
+    try_execute_in(&mut env, cfg, workflow, plan, None, strategy)
 }
 
-/// Like [`execute`], but runs each serverless task on the memory tier
-/// `sizing` assigns it (see [`Sizing`]): per-tier FaaS platforms are
-/// provisioned up front, each with its own warm pools and price point,
-/// and the executor routes every invocation, pre-warm, and burst-capacity
-/// read through the task's tier. A sizing that keeps every task at the
-/// provider's base tier reproduces [`execute`] bit-for-bit.
+/// The general entry: executes in a caller-provided environment (lets the
+/// PDC reuse one environment across probes, and tests inject failure-laden
+/// stores or attach a recorder first).
 ///
-/// Panics when the analyzer refuses the inputs; use [`try_execute_sized`]
-/// for a typed refusal.
-pub fn execute_sized(
+/// With a `sizing`, each serverless task runs on the memory tier it assigns
+/// (see [`Sizing`]): per-tier FaaS platforms are provisioned in `env` up
+/// front, each with its own warm pools and price point, and the executor
+/// routes every invocation, pre-warm, and burst-capacity read through the
+/// task's tier. A sizing that keeps every task at the provider's base tier
+/// reproduces the unsized run bit-for-bit.
+pub fn try_execute_in(
+    env: &mut CloudEnv,
     cfg: &MashupConfig,
     workflow: &Workflow,
     plan: &PlacementPlan,
-    sizing: &Sizing,
-    strategy: &str,
-) -> WorkflowReport {
-    try_execute_sized(cfg, workflow, plan, sizing, strategy).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_sized`], but refuses error-diagnosed inputs with a typed
-/// [`AnalysisError`] instead of panicking mid-simulation.
-pub fn try_execute_sized(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    sizing: &Sizing,
+    sizing: Option<&Sizing>,
     strategy: &str,
 ) -> Result<WorkflowReport, AnalysisError> {
-    preflight_sized(cfg, workflow, plan, sizing)?;
-    let mut env = CloudEnv::new(cfg);
-    env.provision_tiers(cfg, sizing);
+    match sizing {
+        Some(sizing) => {
+            preflight_sized(cfg, workflow, plan, sizing)?;
+            env.provision_tiers(cfg, sizing);
+        }
+        None => {
+            crate::analysis::preflight(cfg, workflow, Some(plan))?;
+        }
+    }
     Ok(execute_in_unchecked(
-        &mut env,
-        cfg,
-        workflow,
-        plan,
-        Some(sizing),
-        strategy,
+        env, cfg, workflow, plan, sizing, strategy,
     ))
 }
 
-/// Like [`try_execute_sized`], but records the run into `tracer`.
-pub fn try_execute_sized_traced(
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    sizing: &Sizing,
-    strategy: &str,
-    tracer: &Tracer,
-) -> Result<WorkflowReport, AnalysisError> {
-    preflight_sized(cfg, workflow, plan, sizing)?;
-    let mut env = CloudEnv::new(cfg);
-    env.provision_tiers(cfg, sizing);
-    env.attach_tracer(tracer.clone());
-    Ok(execute_in_unchecked(
-        &mut env,
-        cfg,
-        workflow,
-        plan,
-        Some(sizing),
-        strategy,
-    ))
-}
-
-/// The preflight gate for sized runs. The standard checks run with the
-/// function cap lifted to the sizing's largest tier (M203 against the base
-/// cap would falsely refuse tasks a bigger tier accommodates); the cap is
-/// then enforced per task against the tier the sizing actually assigns.
-/// The M202 window check keeps the base tier's core speed — slower tiers
+/// The preflight gate for sized runs. The sizing must assign exactly one
+/// tier per task (M201). The standard checks run with the function cap
+/// lifted to the sizing's largest tier (M203 against the base cap would
+/// falsely refuse tasks a bigger tier accommodates); the cap is then
+/// enforced per task against the tier the sizing actually assigns. The
+/// M202 window check keeps the base tier's core speed — slower tiers
 /// stretch compute, but the checkpoint-chaining runtime absorbs that.
 fn preflight_sized(
     cfg: &MashupConfig,
@@ -265,12 +211,20 @@ fn preflight_sized(
     plan: &PlacementPlan,
     sizing: &Sizing,
 ) -> Result<(), AnalysisError> {
-    assert_eq!(
-        sizing.tiers_gb.len(),
-        workflow.task_count(),
-        "sizing must assign a tier to every task of '{}'",
-        workflow.name
-    );
+    if sizing.tiers_gb.len() != workflow.task_count() {
+        return Err(AnalysisError {
+            diagnostics: vec![Diagnostic::new(
+                Code::UnassignedTask,
+                Location::Plan,
+                format!(
+                    "sizing assigns {} memory tiers but the workflow has {} tasks",
+                    sizing.tiers_gb.len(),
+                    workflow.task_count()
+                ),
+            )
+            .with_help("give every task exactly one memory tier")],
+        });
+    }
     let mut lifted = cfg.clone();
     let max_tier = sizing
         .distinct_tiers()
@@ -307,36 +261,6 @@ fn preflight_sized(
     }
     mashup_analyze::into_result(diags)?;
     Ok(())
-}
-
-/// Executes in a caller-provided environment (lets the PDC reuse one
-/// environment across probes, and tests inject failure-laden stores).
-///
-/// Panics when the analyzer refuses the inputs; use [`try_execute_in`] for
-/// a typed refusal.
-pub fn execute_in(
-    env: &mut CloudEnv,
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-) -> WorkflowReport {
-    try_execute_in(env, cfg, workflow, plan, strategy).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Like [`execute_in`], but refuses error-diagnosed inputs with a typed
-/// [`AnalysisError`] instead of panicking mid-simulation.
-pub fn try_execute_in(
-    env: &mut CloudEnv,
-    cfg: &MashupConfig,
-    workflow: &Workflow,
-    plan: &PlacementPlan,
-    strategy: &str,
-) -> Result<WorkflowReport, AnalysisError> {
-    crate::analysis::preflight(cfg, workflow, Some(plan))?;
-    Ok(execute_in_unchecked(
-        env, cfg, workflow, plan, None, strategy,
-    ))
 }
 
 /// The executor proper. Callers arrive through the preflight gate, so the
@@ -1005,11 +929,20 @@ mod tests {
         MashupConfig::aws(nodes)
     }
 
+    fn run_sized(
+        cfg: &MashupConfig,
+        w: &Workflow,
+        plan: &PlacementPlan,
+        sizing: &Sizing,
+    ) -> Result<WorkflowReport, AnalysisError> {
+        try_execute_in(&mut CloudEnv::new(cfg), cfg, w, plan, Some(sizing), "s")
+    }
+
     #[test]
     fn all_vm_plan_runs_without_storage() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let report = execute(&cfg(8), &w, &plan, "traditional");
+        let report = try_execute(&cfg(8), &w, &plan, "traditional").unwrap();
         assert_eq!(report.tasks.len(), 2);
         assert!(report.makespan_secs > 0.0);
         // Pure VM: no serverless or storage expense.
@@ -1026,7 +959,7 @@ mod tests {
     fn all_serverless_plan_bills_no_vm() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-        let report = execute(&cfg(8), &w, &plan, "serverless-only");
+        let report = try_execute(&cfg(8), &w, &plan, "serverless-only").unwrap();
         assert_eq!(report.expense.vm_dollars, 0.0);
         assert!(report.expense.faas_dollars > 0.0);
         assert!(report.expense.storage_dollars > 0.0);
@@ -1041,7 +974,7 @@ mod tests {
         let w = two_phase_workflow();
         let mut plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         plan.set(TaskRef::new(0, 0), Platform::Serverless);
-        let report = execute(&cfg(8), &w, &plan, "hybrid");
+        let report = try_execute(&cfg(8), &w, &plan, "hybrid").unwrap();
         // Both platforms billed.
         assert!(report.expense.vm_dollars > 0.0);
         assert!(report.expense.faas_dollars > 0.0);
@@ -1060,7 +993,7 @@ mod tests {
         let w = two_phase_workflow();
         let mut plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         plan.set(TaskRef::new(1, 0), Platform::Serverless);
-        let report = execute(&cfg(8), &w, &plan, "hybrid");
+        let report = try_execute(&cfg(8), &w, &plan, "hybrid").unwrap();
         let wide = report.task("wide").expect("exists");
         // The VM producer wrote its output to the store over the WAN.
         assert_eq!(wide.platform, Platform::VmCluster);
@@ -1072,8 +1005,8 @@ mod tests {
     fn larger_cluster_shrinks_vm_makespan() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let small = execute(&cfg(2), &w, &plan, "traditional");
-        let large = execute(&cfg(32), &w, &plan, "traditional");
+        let small = try_execute(&cfg(2), &w, &plan, "traditional").unwrap();
+        let large = try_execute(&cfg(32), &w, &plan, "traditional").unwrap();
         assert!(large.makespan_secs < small.makespan_secs);
     }
 
@@ -1081,8 +1014,8 @@ mod tests {
     fn deterministic_across_runs() {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-        let a = execute(&cfg(4), &w, &plan, "s");
-        let b = execute(&cfg(4), &w, &plan, "s");
+        let a = try_execute(&cfg(4), &w, &plan, "s").unwrap();
+        let b = try_execute(&cfg(4), &w, &plan, "s").unwrap();
         assert_eq!(a.makespan_secs, b.makespan_secs);
         assert_eq!(a.expense, b.expense);
     }
@@ -1095,7 +1028,7 @@ mod tests {
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         let run = |cfg: &MashupConfig| {
             let tracer = Tracer::new();
-            let report = execute_traced(cfg, &w, &plan, "t", &tracer);
+            let report = try_execute_traced(cfg, &w, &plan, "t", &tracer).unwrap();
             (report, tracer.take())
         };
         let (base_report, base_trace) = run(&cfg(4));
@@ -1125,7 +1058,7 @@ mod tests {
         });
         let chaotic = cfg(4).with_chaos(ChaosSpec::new(fp).with_adaptive(true));
         let tracer = Tracer::new();
-        let report = execute_traced(&chaotic, &w, &plan, "adaptive", &tracer);
+        let report = try_execute_traced(&chaotic, &w, &plan, "adaptive", &tracer).unwrap();
         let records = tracer.take();
         assert_eq!(report.tasks.len(), 2);
         let replan = records
@@ -1170,7 +1103,7 @@ mod tests {
                 .with_straggler_factor(1.5),
         );
         let tracer = Tracer::new();
-        let report = execute_traced(&chaotic, &w, &plan, "adaptive", &tracer);
+        let report = try_execute_traced(&chaotic, &w, &plan, "adaptive", &tracer).unwrap();
         let records = tracer.take();
         assert_eq!(report.tasks.len(), 2);
         assert!(
@@ -1212,8 +1145,8 @@ mod tests {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let cfg = cfg(4);
-        let plain = execute(&cfg, &w, &plan, "s");
-        let sized = execute_sized(&cfg, &w, &plan, &crate::Sizing::base(&cfg, &w), "s");
+        let plain = try_execute(&cfg, &w, &plan, "s").unwrap();
+        let sized = run_sized(&cfg, &w, &plan, &Sizing::base(&cfg, &w)).unwrap();
         assert_eq!(plain, sized);
     }
 
@@ -1222,11 +1155,11 @@ mod tests {
         let w = two_phase_workflow();
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let cfg = cfg(4);
-        let base = execute(&cfg, &w, &plan, "s");
-        let big = execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 8.0), "s");
+        let base = try_execute(&cfg, &w, &plan, "s").unwrap();
+        let big = run_sized(&cfg, &w, &plan, &Sizing::uniform(&w, 8.0)).unwrap();
         // sqrt(8/3) faster cores shrink every component's compute time.
         assert!(big.task("wide").unwrap().compute_secs < base.task("wide").unwrap().compute_secs);
-        let small = execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 0.5), "s");
+        let small = run_sized(&cfg, &w, &plan, &Sizing::uniform(&w, 0.5)).unwrap();
         assert!(small.task("wide").unwrap().compute_secs > base.task("wide").unwrap().compute_secs);
         // The 0.5 GB tier bills at a sixth of the base rate; even with the
         // slower cores (sqrt(6) longer busy time) it comes out cheaper here.
@@ -1239,10 +1172,10 @@ mod tests {
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let cfg = cfg(4);
         let flat_wide = w.arena().flat_by_name("wide").expect("exists");
-        let mut sizing = crate::Sizing::base(&cfg, &w);
+        let mut sizing = Sizing::base(&cfg, &w);
         sizing.tiers_gb[flat_wide] = 8.0;
-        let mixed = execute_sized(&cfg, &w, &plan, &sizing, "s");
-        let base = execute(&cfg, &w, &plan, "s");
+        let mixed = run_sized(&cfg, &w, &plan, &sizing).unwrap();
+        let base = try_execute(&cfg, &w, &plan, "s").unwrap();
         // The resized task sped up; the base-tier task is untouched (its
         // platform, pools, and seed streams are the unsized ones).
         assert!(mixed.task("wide").unwrap().compute_secs < base.task("wide").unwrap().compute_secs);
@@ -1260,12 +1193,25 @@ mod tests {
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let cfg = cfg(4);
         // 1.5 GiB fits the 2 GB tier but not the 1 GB tier.
-        let err =
-            try_execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 1.0), "s").unwrap_err();
-        assert!(err
-            .errors()
-            .all(|d| d.code == mashup_analyze::Code::FaasMemoryExceeded));
-        assert!(try_execute_sized(&cfg, &w, &plan, &crate::Sizing::uniform(&w, 2.0), "s").is_ok());
+        let err = run_sized(&cfg, &w, &plan, &Sizing::uniform(&w, 1.0)).unwrap_err();
+        assert!(err.errors().all(|d| d.code == Code::FaasMemoryExceeded));
+        assert!(run_sized(&cfg, &w, &plan, &Sizing::uniform(&w, 2.0)).is_ok());
+    }
+
+    #[test]
+    fn short_sizing_is_refused_as_an_unassigned_task() {
+        let w = two_phase_workflow();
+        let plan = PlacementPlan::uniform(&w, Platform::Serverless);
+        let cfg = cfg(4);
+        let mut sizing = Sizing::base(&cfg, &w);
+        sizing.tiers_gb.pop();
+        let err = run_sized(&cfg, &w, &plan, &sizing).unwrap_err();
+        assert_eq!(err.diagnostics.len(), 1);
+        assert_eq!(err.diagnostics[0].code, Code::UnassignedTask);
+        // An empty sizing is refused the same way, before any tier lookup.
+        let empty = Sizing { tiers_gb: vec![] };
+        let err = run_sized(&cfg, &w, &plan, &empty).unwrap_err();
+        assert_eq!(err.diagnostics[0].code, Code::UnassignedTask);
     }
 
     #[test]
@@ -1278,8 +1224,8 @@ mod tests {
             }
         }
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let a = execute(&cfg(4).with_seed(1), &w, &plan, "s");
-        let b = execute(&cfg(4).with_seed(2), &w, &plan, "s");
+        let a = try_execute(&cfg(4).with_seed(1), &w, &plan, "s").unwrap();
+        let b = try_execute(&cfg(4).with_seed(2), &w, &plan, "s").unwrap();
         assert_ne!(a.makespan_secs, b.makespan_secs);
     }
 }

@@ -9,7 +9,7 @@
 //!   autonomously calibrated factors, and the Algorithm 1 decision rules
 //!   (conservative cold-start penalty, memory and short-task forcing, the
 //!   recurring-task warm-pool exception, alternative objectives);
-//! * [`execute`] — the hybrid executor: phase-ordered execution across the
+//! * [`try_execute`] — the hybrid executor: phase-ordered execution across the
 //!   VM cluster and the serverless platform with store-mediated data
 //!   exchange, checkpointing across the FaaS time cap, and pre-warming;
 //! * [`Mashup`] — the one-call engine combining both;
@@ -45,10 +45,7 @@ pub use cache::{
 pub use chaos::ChaosSpec;
 pub use config::{CloudEnv, MashupConfig, Sizing, MEMORY_TIERS_GB};
 pub use engine::{Mashup, MashupOutcome};
-pub use exec::{
-    execute, execute_in, execute_sized, execute_traced, try_execute, try_execute_in,
-    try_execute_sized, try_execute_sized_traced, try_execute_traced,
-};
+pub use exec::{try_execute, try_execute_in, try_execute_traced};
 pub use fingerprint::{Fingerprint, Fingerprinter};
 pub use mashup_analyze::{AnalysisError, Code, Diagnostic, Location, Severity};
 pub use mashup_sim::{KillReason, TraceEvent, TraceRecord, Tracer};

@@ -424,7 +424,7 @@ pub fn bound_dominated(front: &[(f64, f64)], lb: (f64, f64)) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute;
+    use crate::exec::try_execute;
     use crate::placement::PlacementPlan;
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
 
@@ -562,7 +562,7 @@ mod tests {
         assert!(t_lb > 0.0 && e_lb > 0.0);
         for platform in [Platform::VmCluster, Platform::Serverless] {
             let plan = PlacementPlan::uniform(&w, platform);
-            let report = execute(&cfg, &w, &plan, "x");
+            let report = try_execute(&cfg, &w, &plan, "x").unwrap();
             assert!(t_lb <= report.makespan_secs, "{platform:?} time");
             assert!(e_lb <= report.expense.total(), "{platform:?} expense");
         }

@@ -32,7 +32,7 @@
 
 use crate::cache::{PhaseProfileEntry, PlanCache, ProbeEntry, VmProfileEntry};
 use crate::config::{tier_key, CloudEnv, MashupConfig, Sizing};
-use crate::exec::execute_in;
+use crate::exec::try_execute_in;
 use crate::fingerprint::{Fingerprint, Fingerprinter};
 use crate::placement::{PlacementPlan, Platform};
 use mashup_cloud::{
@@ -810,7 +810,12 @@ impl Pdc {
             }
             let tuned = self.cfg.clone().with_subclusters(k);
             let mut env = CloudEnv::with_seed_offset(&tuned, 0x9e3779b9);
-            let report = execute_in(&mut env, &tuned, workflow, &vm_plan, "pdc-profiling");
+            // An all-VM plan adds no error-level checks to the workflow and
+            // config preflight `try_decide` runs, so only a bare `decide`
+            // on a refused workflow can get here with an error.
+            let report =
+                try_execute_in(&mut env, &tuned, workflow, &vm_plan, None, "pdc-profiling")
+                    .unwrap_or_else(|e| panic!("{e}"));
             add_expense(&mut expense, &report.expense);
             for t in &report.tasks {
                 let flat = arena

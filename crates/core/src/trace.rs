@@ -571,7 +571,7 @@ fn check_fault_attrib(records: &[TraceRecord], out: &mut Vec<Violation>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_traced;
+    use crate::exec::try_execute_traced;
     use crate::placement::{PlacementPlan, Platform};
     use mashup_dag::{DependencyPattern, Task, TaskProfile, WorkflowBuilder};
     use mashup_sim::Tracer;
@@ -602,7 +602,7 @@ mod tests {
         let w = wf();
         let plan = PlacementPlan::uniform(&w, plan_platform);
         let tracer = Tracer::new();
-        let report = execute_traced(&cfg, &w, &plan, "test", &tracer);
+        let report = try_execute_traced(&cfg, &w, &plan, "test", &tracer).unwrap();
         let records = tracer.take();
         (cfg, w, report, records)
     }
@@ -697,7 +697,7 @@ mod tests {
         let w = wf();
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
         let tracer = Tracer::new();
-        let report = execute_traced(&cfg, &w, &plan, "test", &tracer);
+        let report = try_execute_traced(&cfg, &w, &plan, "test", &tracer).unwrap();
         (cfg, w, report, tracer.take())
     }
 
@@ -798,7 +798,7 @@ mod tests {
         let w = b.build().expect("valid");
         let plan = PlacementPlan::uniform(&w, Platform::Serverless);
         let tracer = Tracer::new();
-        let report = execute_traced(&shortened, &w, &plan, "test", &tracer);
+        let report = try_execute_traced(&shortened, &w, &plan, "test", &tracer).unwrap();
         let mut records = tracer.take();
         assert!(
             records

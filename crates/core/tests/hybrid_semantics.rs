@@ -1,7 +1,7 @@
 //! Integration tests of hybrid-execution semantics: pre-warming, boundary
 //! refinement, store billing, and checkpoint-margin widening.
 
-use mashup_core::{execute, MashupConfig, Pdc, PlacementPlan, Platform};
+use mashup_core::{try_execute, MashupConfig, Pdc, PlacementPlan, Platform};
 use mashup_dag::{DependencyPattern, Task, TaskProfile, TaskRef, WorkflowBuilder};
 
 /// Two serverless phases of the same width: phase 2 should find warm
@@ -31,8 +31,8 @@ fn prewarming_cuts_next_phase_cold_starts() {
     let mut off = on.clone();
     off.prewarm = false;
 
-    let with = execute(&on, &w, &plan, "on");
-    let without = execute(&off, &w, &plan, "off");
+    let with = try_execute(&on, &w, &plan, "on").unwrap();
+    let without = try_execute(&off, &w, &plan, "off").unwrap();
     let cold = |r: &mashup_core::WorkflowReport, t: &str| r.task(t).expect("ran").n_cold;
     assert!(
         cold(&with, "second") < cold(&without, "second"),
@@ -66,7 +66,7 @@ fn mixed_producer_locations_route_through_the_store() {
 
     let mut plan = PlacementPlan::uniform(&w, Platform::VmCluster);
     plan.set(TaskRef::new(0, 1), Platform::Serverless); // sl-prod
-    let report = execute(&MashupConfig::aws(4), &w, &plan, "mixed");
+    let report = try_execute(&MashupConfig::aws(4), &w, &plan, "mixed").unwrap();
     // Storage was billed: the serverless producer's output and the staged
     // initial input lived in the store.
     assert!(report.expense.storage_dollars > 0.0);
@@ -84,7 +84,7 @@ fn pure_vm_plans_never_bill_storage() {
     b.add_task(Task::new("t", 16, TaskProfile::trivial().io(1e8, 1e8)));
     let w = b.build().expect("valid");
     let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-    let report = execute(&MashupConfig::aws(4), &w, &plan, "vm");
+    let report = try_execute(&MashupConfig::aws(4), &w, &plan, "vm").unwrap();
     assert_eq!(report.expense.storage_dollars, 0.0);
     assert_eq!(report.expense.faas_dollars, 0.0);
 }
@@ -160,7 +160,7 @@ fn large_checkpoints_widen_the_margin_instead_of_dying() {
     let cfg = MashupConfig::aws(2);
     assert!(cfg.margin_for(4.0e9) > 30.0);
     let plan = PlacementPlan::uniform(&w, Platform::Serverless);
-    let report = execute(&cfg, &w, &plan, "big-state");
+    let report = try_execute(&cfg, &w, &plan, "big-state").unwrap();
     let t = report.task("heavy").expect("ran");
     assert!(t.checkpoints >= 2);
     // All compute arrived despite the chains.
@@ -185,13 +185,14 @@ fn subcluster_split_isolates_concurrent_vm_tasks() {
     b.add_task(Task::new("solo", 1, TaskProfile::trivial().compute(100.0)));
     let w = b.build().expect("valid");
     let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-    let joint = execute(&MashupConfig::aws(8), &w, &plan, "joint");
-    let split = execute(
+    let joint = try_execute(&MashupConfig::aws(8), &w, &plan, "joint").unwrap();
+    let split = try_execute(
         &MashupConfig::aws(8).with_subclusters(2),
         &w,
         &plan,
         "split",
-    );
+    )
+    .unwrap();
     let solo_joint = joint.task("solo").expect("ran").makespan_secs();
     let solo_split = split.task("solo").expect("ran").makespan_secs();
     assert!(

@@ -1,8 +1,8 @@
 //! Property-based tests of the Mashup engine invariants.
 
 use mashup_core::{
-    estimate_serverless_time, execute, execute_traced, fit_gamma, MashupConfig, ModelFactors, Pdc,
-    PlacementPlan, PlanCache, Platform, Tracer,
+    estimate_serverless_time, fit_gamma, try_execute, try_execute_traced, MashupConfig,
+    ModelFactors, Pdc, PlacementPlan, PlanCache, Platform, Tracer,
 };
 use mashup_workflows::{generate, SyntheticConfig};
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ proptest! {
                 continue;
             }
             let plan = PlacementPlan::uniform(&w, platform);
-            let report = execute(&cfg, &w, &plan, "prop");
+            let report = try_execute(&cfg, &w, &plan, "prop").unwrap();
             prop_assert_eq!(report.tasks.len(), w.task_count());
             let last_end = report.tasks.iter().map(|t| t.end_secs).fold(0.0f64, f64::max);
             prop_assert!((report.makespan_secs - last_end).abs() < 1e-6);
@@ -102,8 +102,8 @@ proptest! {
         let w = small_synthetic(seed);
         let cfg = MashupConfig::aws(4);
         let plan = PlacementPlan::uniform(&w, Platform::VmCluster);
-        let a = execute(&cfg, &w, &plan, "a");
-        let b = execute(&cfg, &w, &plan, "b");
+        let a = try_execute(&cfg, &w, &plan, "a").unwrap();
+        let b = try_execute(&cfg, &w, &plan, "b").unwrap();
         prop_assert_eq!(a.makespan_secs, b.makespan_secs);
         prop_assert_eq!(a.expense, b.expense);
     }
@@ -142,11 +142,11 @@ proptest! {
                 continue;
             }
             let plan = PlacementPlan::uniform(&w, platform);
-            let untraced = execute(&cfg, &w, &plan, "prop");
+            let untraced = try_execute(&cfg, &w, &plan, "prop").unwrap();
             let flow = Tracer::new();
-            let traced = execute_traced(&cfg, &w, &plan, "prop", &flow);
+            let traced = try_execute_traced(&cfg, &w, &plan, "prop", &flow).unwrap();
             let verbose = Tracer::verbose();
-            let verbose_traced = execute_traced(&cfg, &w, &plan, "prop", &verbose);
+            let verbose_traced = try_execute_traced(&cfg, &w, &plan, "prop", &verbose).unwrap();
             prop_assert_eq!(&untraced, &traced);
             prop_assert_eq!(&untraced, &verbose_traced);
             let flow_records = flow.take();
@@ -166,8 +166,8 @@ proptest! {
         let base = MashupConfig::aws(4);
         let mut doubled = base.clone();
         doubled.cluster.instance.price_per_hour *= 2.0;
-        let a = execute(&base, &w, &plan, "a");
-        let b = execute(&doubled, &w, &plan, "b");
+        let a = try_execute(&base, &w, &plan, "a").unwrap();
+        let b = try_execute(&doubled, &w, &plan, "b").unwrap();
         prop_assert!((b.expense.vm_dollars - 2.0 * a.expense.vm_dollars).abs() < 1e-9);
         prop_assert_eq!(a.makespan_secs, b.makespan_secs);
     }

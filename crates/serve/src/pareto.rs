@@ -14,7 +14,7 @@
 //!    per-tier probe lands in the shared cache, so repeated sweeps run
 //!    almost entirely warm.
 //! 3. **Execute** — the estimate-front survivors run end to end
-//!    ([`execute_sized`]) and the final front is the dominance filter over
+//!    ([`try_execute_in`] with the candidate's sizing) and the final front is the dominance filter over
 //!    their *measured* (makespan, expense) points.
 //!
 //! Pruning consults only completed waves and `par_map` merges in input
@@ -25,8 +25,8 @@ use mashup_core::pareto::{
     Candidate, Materialized, SearchSpace,
 };
 use mashup_core::{
-    execute_sized, CacheStats, Fingerprinter, MashupConfig, Pdc, PdcReport, PlanCache, Platform,
-    ReplanStats,
+    try_execute_in, CacheStats, CloudEnv, Fingerprinter, MashupConfig, Pdc, PdcReport, PlanCache,
+    Platform, ReplanStats,
 };
 use mashup_dag::Workflow;
 use serde::{Deserialize, Serialize};
@@ -223,13 +223,18 @@ pub fn pareto_sweep_with(
         .map(|(e, _)| e)
         .collect();
     let executed: Vec<FrontPoint> = crate::par_map(survivors, |e| {
-        let report = execute_sized(
+        let mut env = CloudEnv::new(cfg);
+        let report = try_execute_in(
+            &mut env,
             cfg,
             &e.mat.workflow,
             &e.report.plan,
-            &e.mat.sizing,
+            Some(&e.mat.sizing),
             "pareto",
-        );
+        )
+        // The PDC forces every task that outgrows its tier onto the VM
+        // cluster, so its plans pass the sized preflight.
+        .expect("PDC plans pass the sized preflight");
         FrontPoint {
             label: e.cand.describe(&space),
             makespan_secs: report.makespan_secs,

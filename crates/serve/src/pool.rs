@@ -163,7 +163,10 @@ mod tests {
         let w = mashup_workflows::generate(&mashup_workflows::SyntheticConfig::default(), 7);
         set_jobs(4);
         let reports = par_map(vec![2usize, 4, 8], |nodes| {
-            Mashup::new(MashupConfig::aws(nodes)).run(&w).report
+            Mashup::new(MashupConfig::aws(nodes))
+                .try_run(&w)
+                .unwrap()
+                .report
         });
         assert_eq!(reports.len(), 3);
         for r in &reports {

@@ -8,7 +8,7 @@
 
 use mashup::prelude::*;
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "SRAsearch".into());
@@ -24,8 +24,8 @@ fn main() {
     );
     for nodes in [2usize, 8, 16, 32, 64] {
         let cfg = MashupConfig::aws(nodes);
-        let trad = run_traditional_tuned(&cfg, &workflow);
-        let mashup = Mashup::new(cfg).run(&workflow).report;
+        let trad = run_traditional_tuned(&cfg, &workflow, &Tracer::off())?;
+        let mashup = Mashup::new(cfg).try_run(&workflow)?.report;
         println!(
             "{:>5}  {:>11.0}s {:>9.4}   {:>11.0}s {:>9.4}   {:>6.1}% {:>6.1}%",
             nodes,
@@ -46,7 +46,9 @@ fn main() {
         ("expense", Objective::Expense),
         ("both", Objective::Both),
     ] {
-        let r = Mashup::new(cfg.clone()).with_objective(obj).run(&workflow);
+        let r = Mashup::new(cfg.clone())
+            .with_objective(obj)
+            .try_run(&workflow)?;
         println!(
             "  minimize {:<8} -> {:>8.0}s  ${:.4}  ({} of {} tasks serverless)",
             label,
@@ -56,4 +58,5 @@ fn main() {
             workflow.task_count(),
         );
     }
+    Ok(())
 }

@@ -12,7 +12,7 @@ use mashup::prelude::*;
 /// `mashup analyze examples/protein_screen.json`.
 const EMBEDDED: &str = include_str!("protein_screen.json");
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     // 1. Load: from a file if given, else the embedded definition.
     let json = std::env::args()
         .nth(1)
@@ -34,9 +34,9 @@ fn main() {
 
     // 3. Run Mashup vs the baselines on a small cluster.
     let cfg = MashupConfig::aws(4);
-    let outcome = Mashup::new(cfg.clone()).run(&workflow);
-    let traditional = run_traditional_tuned(&cfg, &workflow);
-    let serverless = run_serverless_only(&cfg, &workflow);
+    let outcome = Mashup::new(cfg.clone()).try_run(&workflow)?;
+    let traditional = run_traditional_tuned(&cfg, &workflow, &Tracer::off())?;
+    let serverless = run_serverless_only(&cfg, &workflow, &Tracer::off())?;
     println!("\nplacements:");
     for d in &outcome.pdc.decisions {
         println!("  {:<8} -> {}", d.name, d.platform);
@@ -54,4 +54,5 @@ fn main() {
             r.expense.total()
         );
     }
+    Ok(())
 }

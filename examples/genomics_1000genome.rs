@@ -7,7 +7,7 @@
 
 use mashup::prelude::*;
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     let nodes: usize = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -22,11 +22,11 @@ fn main() {
         nodes
     );
 
-    let traditional = run_traditional_tuned(&cfg, &workflow);
-    let serverless = run_serverless_only(&cfg, &workflow);
-    let pegasus = run_pegasus(&cfg, &workflow);
-    let kepler = run_kepler(&cfg, &workflow);
-    let mashup = Mashup::new(cfg).run(&workflow);
+    let traditional = run_traditional_tuned(&cfg, &workflow, &Tracer::off())?;
+    let serverless = run_serverless_only(&cfg, &workflow, &Tracer::off())?;
+    let pegasus = run_pegasus(&cfg, &workflow, &Tracer::off())?;
+    let kepler = run_kepler(&cfg, &workflow, &Tracer::off())?;
+    let mashup = Mashup::new(cfg).try_run(&workflow)?;
 
     println!("=== Placement chosen by Mashup's PDC ===");
     for d in &mashup.pdc.decisions {
@@ -68,4 +68,5 @@ fn main() {
 
     println!("\n=== Hybrid timeline ===");
     print!("{}", mashup.report.render_gantt(60));
+    Ok(())
 }

@@ -12,7 +12,7 @@ use mashup::local::{FaasPool, FaasPoolConfig, LocalBackend, LocalPlacement};
 use mashup::prelude::*;
 use std::time::Duration;
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     // A checksum pipeline: many independent hash shards, one verifier.
     let mut b = WorkflowBuilder::new("checksum");
     b.initial_input_bytes(1.0e8);
@@ -37,7 +37,7 @@ fn main() {
 
     // --- 1. PLAN on the simulated substrates -----------------------------
     let cfg = MashupConfig::aws(2);
-    let outcome = Mashup::new(cfg).run(&workflow);
+    let outcome = Mashup::new(cfg).try_run(&workflow)?;
     println!("simulated plan (2-node cluster):");
     for d in &outcome.pdc.decisions {
         println!(
@@ -102,4 +102,5 @@ fn main() {
         u64::from_le_bytes(digest.as_ref().try_into().expect("u64")),
         report.wall_secs * 1000.0
     );
+    Ok(())
 }

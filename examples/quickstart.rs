@@ -7,7 +7,7 @@
 
 use mashup::prelude::*;
 
-fn main() {
+fn main() -> Result<(), AnalysisError> {
     // 1. Describe a workflow: a wide fan-out of short components feeding a
     //    single merge — the shape serverless loves and small clusters hate.
     let mut b = WorkflowBuilder::new("quickstart");
@@ -39,7 +39,7 @@ fn main() {
     let cfg = MashupConfig::aws(4);
 
     // 3. Let Mashup's PDC profile the workflow and choose placements.
-    let outcome = Mashup::new(cfg.clone()).run(&workflow);
+    let outcome = Mashup::new(cfg.clone()).try_run(&workflow)?;
     println!("=== PDC decisions ===");
     for d in &outcome.pdc.decisions {
         println!(
@@ -49,7 +49,7 @@ fn main() {
     }
 
     // 4. Compare with the traditional all-VM execution.
-    let traditional = run_traditional(&cfg, &workflow);
+    let traditional = run_traditional(&cfg, &workflow, &Tracer::off())?;
     println!("\n=== Results ===");
     println!(
         "  traditional cluster : {:>8.1}s  ${:.4}",
@@ -66,4 +66,5 @@ fn main() {
         improvement_pct(outcome.report.makespan_secs, traditional.makespan_secs),
         improvement_pct(outcome.report.expense.total(), traditional.expense.total())
     );
+    Ok(())
 }

@@ -46,11 +46,44 @@ fn die_diagnosed(err: &AnalysisError) -> ! {
     std::process::exit(1)
 }
 
+/// The strategies `mashup compare` runs, in print order.
+const COMPARED: [Strategy; 5] = [
+    Strategy::TraditionalTuned,
+    Strategy::ServerlessOnly,
+    Strategy::Pegasus,
+    Strategy::Kepler,
+    Strategy::Mashup,
+];
+
+/// Looks up a `--strategy` value by its CLI name.
+fn parse_strategy(name: Option<String>) -> Strategy {
+    let name = name.unwrap_or_else(|| die("--strategy needs a value"));
+    Strategy::from_cli_name(&name).unwrap_or_else(|| die(&format!("unknown strategy '{name}'")))
+}
+
+/// The CLI name a strategy is printed under.
+fn cli_name(strategy: Strategy) -> &'static str {
+    strategy.cli_name().expect("CLI strategies have CLI names")
+}
+
+/// Runs `strategy` without a plan cache, exiting with the rendered
+/// diagnostics when the analyzer refuses the input.
+fn run_strategy(
+    strategy: Strategy,
+    cfg: &MashupConfig,
+    w: &Workflow,
+    tracer: &Tracer,
+) -> WorkflowReport {
+    strategy
+        .run(cfg, w, tracer, None)
+        .unwrap_or_else(|e| die_diagnosed(&e))
+}
+
 struct Args {
     workflow: String,
     nodes: usize,
     objective: Objective,
-    strategy: String,
+    strategy: Strategy,
     format: String,
     out: Option<String>,
     verbose: bool,
@@ -66,7 +99,7 @@ fn parse_args(mut rest: std::env::Args) -> Args {
         workflow,
         nodes: 8,
         objective: Objective::ExecutionTime,
-        strategy: "mashup".into(),
+        strategy: Strategy::Mashup,
         format: "jsonl".into(),
         out: None,
         verbose: false,
@@ -89,11 +122,7 @@ fn parse_args(mut rest: std::env::Args) -> Args {
                     other => die(&format!("unknown objective {other:?}")),
                 };
             }
-            "--strategy" => {
-                args.strategy = rest
-                    .next()
-                    .unwrap_or_else(|| die("--strategy needs a value"));
-            }
+            "--strategy" => args.strategy = parse_strategy(rest.next()),
             "--format" => {
                 args.format = match rest.next().as_deref() {
                     Some("jsonl") => "jsonl".into(),
@@ -199,23 +228,8 @@ fn main() {
             let args = parse_args(argv);
             let w = load_workflow(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
-            let report = match args.strategy.as_str() {
-                "mashup" => {
-                    Mashup::new(cfg)
-                        .try_run(&w)
-                        .unwrap_or_else(|e| die_diagnosed(&e))
-                        .report
-                }
-                "wo-pdc" => Mashup::new(cfg)
-                    .try_run_without_pdc(&w)
-                    .unwrap_or_else(|e| die_diagnosed(&e)),
-                "traditional" => run_traditional_tuned(&cfg, &w),
-                "serverless" => run_serverless_only(&cfg, &w),
-                "pegasus" => run_pegasus(&cfg, &w),
-                "kepler" => run_kepler(&cfg, &w),
-                other => die(&format!("unknown strategy '{other}'")),
-            };
-            print_report(&args.strategy, &report);
+            let report = run_strategy(args.strategy, &cfg, &w, &Tracer::off());
+            print_report(cli_name(args.strategy), &report);
             for t in &report.tasks {
                 println!(
                     "  {:<20} {:<10} {:>8.1}s  (cold {:>5.1}s, io {:>7.1}s, {} ckpts)",
@@ -238,24 +252,7 @@ fn main() {
             } else {
                 Tracer::new()
             };
-            let report = match args.strategy.as_str() {
-                "mashup" => {
-                    Mashup::new(cfg.clone())
-                        .with_tracer(tracer.clone())
-                        .try_run(&w)
-                        .unwrap_or_else(|e| die_diagnosed(&e))
-                        .report
-                }
-                "wo-pdc" => Mashup::new(cfg.clone())
-                    .with_tracer(tracer.clone())
-                    .try_run_without_pdc(&w)
-                    .unwrap_or_else(|e| die_diagnosed(&e)),
-                "traditional" => run_traditional_tuned_traced(&cfg, &w, &tracer),
-                "serverless" => run_serverless_only_traced(&cfg, &w, &tracer),
-                "pegasus" => run_pegasus_traced(&cfg, &w, &tracer),
-                "kepler" => run_kepler_traced(&cfg, &w, &tracer),
-                other => die(&format!("unknown strategy '{other}'")),
-            };
+            let report = run_strategy(args.strategy, &cfg, &w, &tracer);
             let records = tracer.take();
             let body = match args.format.as_str() {
                 "chrome" => mashup::sim::trace::to_chrome_trace(&records),
@@ -290,13 +287,15 @@ fn main() {
             let w = load_workflow(&args.workflow);
             let cfg = MashupConfig::aws(args.nodes);
             println!("'{}' on {} nodes:", w.name, args.nodes);
-            let traditional = run_traditional_tuned(&cfg, &w);
-            print_report("traditional", &traditional);
-            print_report("serverless", &run_serverless_only(&cfg, &w));
-            print_report("pegasus", &run_pegasus(&cfg, &w));
-            print_report("kepler", &run_kepler(&cfg, &w));
-            let mashup = Mashup::new(cfg).run(&w).report;
-            print_report("mashup", &mashup);
+            let reports: Vec<WorkflowReport> = COMPARED
+                .into_iter()
+                .map(|s| {
+                    let report = run_strategy(s, &cfg, &w, &Tracer::off());
+                    print_report(cli_name(s), &report);
+                    report
+                })
+                .collect();
+            let (traditional, mashup) = (&reports[0], &reports[COMPARED.len() - 1]);
             println!(
                 "\nmashup vs traditional: {:.1}% time, {:.1}% expense",
                 improvement_pct(mashup.makespan_secs, traditional.makespan_secs),
@@ -428,7 +427,7 @@ fn run_chaos(mut argv: std::env::Args) {
     let mut profile = "preemption".to_string();
     let mut horizon: Option<f64> = None;
     let mut straggler_factor = 0.0f64;
-    let mut strategy = "mashup".to_string();
+    let mut strategy = Strategy::Mashup;
     let mut check = false;
     while let Some(flag) = argv.next() {
         match flag.as_str() {
@@ -464,37 +463,14 @@ fn run_chaos(mut argv: std::env::Args) {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| die("--straggler-factor needs a number"));
             }
-            "--strategy" => {
-                strategy = argv
-                    .next()
-                    .unwrap_or_else(|| die("--strategy needs a value"));
-            }
+            "--strategy" => strategy = parse_strategy(argv.next()),
             "--check" => check = true,
             other => die(&format!("unknown flag '{other}'")),
         }
     }
     let w = load_workflow(&spec);
     let cfg = MashupConfig::aws(nodes);
-    let run = |cfg: &MashupConfig, tracer: &Tracer| -> WorkflowReport {
-        match strategy.as_str() {
-            "mashup" => {
-                Mashup::new(cfg.clone())
-                    .with_tracer(tracer.clone())
-                    .try_run(&w)
-                    .unwrap_or_else(|e| die_diagnosed(&e))
-                    .report
-            }
-            "wo-pdc" => Mashup::new(cfg.clone())
-                .with_tracer(tracer.clone())
-                .try_run_without_pdc(&w)
-                .unwrap_or_else(|e| die_diagnosed(&e)),
-            "traditional" => run_traditional_tuned_traced(cfg, &w, tracer),
-            "serverless" => run_serverless_only_traced(cfg, &w, tracer),
-            "pegasus" => run_pegasus_traced(cfg, &w, tracer),
-            "kepler" => run_kepler_traced(cfg, &w, tracer),
-            other => die(&format!("unknown strategy '{other}'")),
-        }
-    };
+    let run = |cfg: &MashupConfig, tracer: &Tracer| run_strategy(strategy, cfg, &w, tracer);
 
     // The fault-free reference also sizes the default fault horizon.
     let base = run(&cfg, &Tracer::off());

@@ -11,7 +11,8 @@
 //! * [`analyze`] — static workflow/plan/config diagnostics (M-codes);
 //! * [`engine`] — the Mashup engine: PDC + hybrid executor;
 //! * [`baselines`] — traditional cluster, serverless-only, Pegasus-like,
-//!   Kepler-like;
+//!   Kepler-like, Costless-like fusion, and the [`baselines::Strategy`]
+//!   registry that runs any of them, or Mashup, the same way;
 //! * [`local`] — the real thread-based execution backend;
 //! * [`serve`] — the multi-tenant planning service, shared worker pool,
 //!   and closed-loop load-test harness;
@@ -21,9 +22,11 @@
 //! use mashup::prelude::*;
 //!
 //! let workflow = mashup::workflows::srasearch::workflow();
-//! let outcome = Mashup::new(MashupConfig::aws(4)).run(&workflow);
-//! let baseline = run_traditional(&MashupConfig::aws(4), &workflow);
+//! let cfg = MashupConfig::aws(4);
+//! let outcome = Mashup::new(cfg.clone()).try_run(&workflow)?;
+//! let baseline = run_traditional(&cfg, &workflow, &Tracer::off())?;
 //! assert!(outcome.report.makespan_secs < baseline.makespan_secs);
+//! # Ok::<(), AnalysisError>(())
 //! ```
 
 #![warn(missing_docs)]
@@ -42,9 +45,8 @@ pub use mashup_workflows as workflows;
 pub mod prelude {
     pub use mashup_analyze::{render_pretty, AnalysisError, Diagnostic};
     pub use mashup_baselines::{
-        run_kepler, run_kepler_traced, run_pegasus, run_pegasus_traced, run_serverless_only,
-        run_serverless_only_traced, run_traditional, run_traditional_traced, run_traditional_tuned,
-        run_traditional_tuned_traced,
+        run_kepler, run_pegasus, run_serverless_only, run_traditional, run_traditional_tuned,
+        Strategy,
     };
     pub use mashup_cloud::{Fault, FaultPlan, FaultProfile};
     pub use mashup_core::{

@@ -10,7 +10,7 @@
 //! switched on. Faults come only from the seeded schedule, so each
 //! failing case shrinks to a reproducible (seed, profile, workflow).
 
-use mashup_bench::{run_strategy_traced, Strategy};
+use mashup_baselines::Strategy;
 use mashup_cloud::{FaultPlan, FaultProfile};
 use mashup_core::trace::check;
 use mashup_core::{ChaosSpec, MashupConfig, Tracer};
@@ -45,7 +45,9 @@ fn profile(pick: u64, horizon_secs: f64) -> FaultProfile {
 
 fn assert_chaos_run_clean(cfg: &MashupConfig, w: &mashup_dag::Workflow, strategy: Strategy) {
     let tracer = Tracer::new();
-    let report = run_strategy_traced(cfg, w, strategy, &tracer);
+    let report = strategy
+        .run(cfg, w, &tracer, mashup_bench::plan_cache())
+        .unwrap();
     let records = tracer.take();
     assert!(
         report.makespan_secs > 0.0,

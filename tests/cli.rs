@@ -94,3 +94,86 @@ fn json_workflow_round_trips_through_the_cli() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("404 components"));
 }
+
+/// Every `--strategy` name the CLI accepts.
+const CLI_STRATEGIES: [&str; 6] = [
+    "mashup",
+    "wo-pdc",
+    "traditional",
+    "serverless",
+    "pegasus",
+    "kepler",
+];
+
+#[test]
+fn every_cli_strategy_runs_and_traces_cleanly() {
+    for strategy in CLI_STRATEGIES {
+        let run = mashup()
+            .args(["run", "SRAsearch", "--nodes", "4", "--strategy", strategy])
+            .output()
+            .expect("binary runs");
+        assert!(run.status.success(), "run --strategy {strategy}");
+        assert!(String::from_utf8_lossy(&run.stdout).starts_with(strategy));
+        let trace = mashup()
+            .args([
+                "trace",
+                "SRAsearch",
+                "--nodes",
+                "4",
+                "--strategy",
+                strategy,
+                "--check",
+            ])
+            .output()
+            .expect("binary runs");
+        assert!(trace.status.success(), "trace --strategy {strategy}");
+        let stderr = String::from_utf8_lossy(&trace.stderr);
+        assert!(
+            stderr.contains("all invariants hold"),
+            "{strategy}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn unknown_strategy_fails_cleanly() {
+    let out = mashup()
+        .args(["run", "SRAsearch", "--strategy", "bogus"])
+        .output()
+        .expect("binary runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown strategy"));
+}
+
+#[test]
+fn over_cap_task_is_refused_with_a_diagnostic() {
+    let mut b = mashup::dag::WorkflowBuilder::new("oversized");
+    b.initial_input_bytes(1e6);
+    b.begin_phase();
+    b.add_task(mashup::dag::Task::new(
+        "Huge",
+        1,
+        mashup::dag::TaskProfile::trivial()
+            .compute(10.0)
+            .memory(8.0),
+    ));
+    let w = b.build().expect("valid");
+    let path = std::env::temp_dir().join("mashup-cli-oversized.json");
+    std::fs::write(&path, mashup::dag::to_json(&w)).expect("write temp workflow");
+    let path = path.to_str().expect("utf8 path");
+    for cmd in ["run", "trace"] {
+        let out = mashup()
+            .args([cmd, path, "--strategy", "serverless"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("static analysis refused the input"),
+            "{cmd}: {stderr}"
+        );
+        assert!(stderr.contains("M203"), "{cmd}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cmd}: {stderr}");
+    }
+}

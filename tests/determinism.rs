@@ -4,8 +4,9 @@
 //! implementation put them, and figure output must not depend on the sweep
 //! worker count.
 
+use mashup_baselines::Strategy;
 use mashup_bench as bench;
-use mashup_bench::{run_strategy, run_strategy_traced, Strategy};
+use mashup_bench::run_strategy;
 use mashup_cloud::{FaultPlan, FaultProfile};
 use mashup_core::{ChaosSpec, MashupConfig, Tracer};
 use mashup_sim::trace::to_jsonl;
@@ -70,7 +71,9 @@ fn chaos_replay_is_bit_identical_across_job_counts() {
             );
             let cfg = base.with_chaos(ChaosSpec::new(plan).with_adaptive(true));
             let tracer = Tracer::new();
-            let report = run_strategy_traced(&cfg, &w, Strategy::Mashup, &tracer);
+            let report = Strategy::Mashup
+                .run(&cfg, &w, &tracer, bench::plan_cache())
+                .unwrap();
             format!("{report:?}\n{}", to_jsonl(&tracer.take()))
         })
     }

@@ -15,8 +15,8 @@ fn mashup_beats_traditional_on_every_paper_workflow() {
         epigenomics::workflow(),
     ] {
         let cfg = small_cfg();
-        let traditional = run_traditional_tuned(&cfg, &w);
-        let outcome = Mashup::new(cfg).run(&w);
+        let traditional = run_traditional_tuned(&cfg, &w, &Tracer::off()).unwrap();
+        let outcome = Mashup::new(cfg).try_run(&w).unwrap();
         assert!(
             outcome.report.makespan_secs < traditional.makespan_secs,
             "{}: mashup {:.0}s vs traditional {:.0}s",
@@ -40,9 +40,9 @@ fn hybrid_beats_both_pure_strategies_on_1000genome() {
     // The Fig. 11 "best of both worlds" claim at a small cluster size.
     let cfg = small_cfg();
     let w = genome1000::workflow();
-    let mashup = Mashup::new(cfg.clone()).run(&w).report;
-    let vm = run_traditional_tuned(&cfg, &w);
-    let sl = run_serverless_only(&cfg, &w);
+    let mashup = Mashup::new(cfg.clone()).try_run(&w).unwrap().report;
+    let vm = run_traditional_tuned(&cfg, &w, &Tracer::off()).unwrap();
+    let sl = run_serverless_only(&cfg, &w, &Tracer::off()).unwrap();
     assert!(mashup.makespan_secs <= vm.makespan_secs);
     assert!(mashup.makespan_secs <= sl.makespan_secs * 1.05);
 }
@@ -51,9 +51,10 @@ fn hybrid_beats_both_pure_strategies_on_1000genome() {
 fn pdc_beats_or_matches_the_naive_threshold_plan() {
     for w in [genome1000::workflow(), srasearch::workflow()] {
         let cfg = small_cfg();
-        let engine = Mashup::new(cfg);
-        let with_pdc = engine.run(&w).report;
-        let without = engine.run_without_pdc(&w);
+        let with_pdc = Mashup::new(cfg.clone()).try_run(&w).unwrap().report;
+        let without = Strategy::MashupWithoutPdc
+            .run(&cfg, &w, &Tracer::off(), None)
+            .unwrap();
         assert!(
             with_pdc.makespan_secs <= without.makespan_secs * 1.02,
             "{}: PDC {:.0}s vs naive {:.0}s",
@@ -68,7 +69,7 @@ fn pdc_beats_or_matches_the_naive_threshold_plan() {
 fn reports_are_internally_consistent() {
     let cfg = small_cfg();
     let w = srasearch::workflow();
-    let outcome = Mashup::new(cfg).run(&w);
+    let outcome = Mashup::new(cfg).try_run(&w).unwrap();
     let r = &outcome.report;
     assert_eq!(r.tasks.len(), w.task_count());
     // The makespan is the completion of the last task.
@@ -98,8 +99,8 @@ fn reports_are_internally_consistent() {
 #[test]
 fn runs_are_reproducible_across_invocations() {
     let w = epigenomics::workflow();
-    let a = Mashup::new(small_cfg()).run(&w);
-    let b = Mashup::new(small_cfg()).run(&w);
+    let a = Mashup::new(small_cfg()).try_run(&w).unwrap();
+    let b = Mashup::new(small_cfg()).try_run(&w).unwrap();
     assert_eq!(a.report.makespan_secs, b.report.makespan_secs);
     assert_eq!(a.report.expense, b.report.expense);
     assert_eq!(a.pdc.plan, b.pdc.plan);
@@ -115,11 +116,20 @@ fn all_baselines_complete_on_all_workflows() {
     ] {
         let cfg = small_cfg();
         for (label, r) in [
-            ("traditional", run_traditional(&cfg, &w)),
-            ("tuned", run_traditional_tuned(&cfg, &w)),
-            ("serverless", run_serverless_only(&cfg, &w)),
-            ("pegasus", run_pegasus(&cfg, &w)),
-            ("kepler", run_kepler(&cfg, &w)),
+            (
+                "traditional",
+                run_traditional(&cfg, &w, &Tracer::off()).unwrap(),
+            ),
+            (
+                "tuned",
+                run_traditional_tuned(&cfg, &w, &Tracer::off()).unwrap(),
+            ),
+            (
+                "serverless",
+                run_serverless_only(&cfg, &w, &Tracer::off()).unwrap(),
+            ),
+            ("pegasus", run_pegasus(&cfg, &w, &Tracer::off()).unwrap()),
+            ("kepler", run_kepler(&cfg, &w, &Tracer::off()).unwrap()),
         ] {
             assert!(r.makespan_secs > 0.0, "{label} on {}", w.name);
             assert!(r.expense.total() > 0.0, "{label} on {}", w.name);
@@ -132,7 +142,7 @@ fn serverless_only_checkpoints_over_cap_tasks() {
     // Epigenomics' Chr21 (~42 min serverless) must cross the 15-minute cap.
     let cfg = small_cfg();
     let w = epigenomics::workflow();
-    let r = run_serverless_only(&cfg, &w);
+    let r = run_serverless_only(&cfg, &w, &Tracer::off()).unwrap();
     let chr = r.task("Chr21").expect("Chr21 ran");
     assert!(chr.checkpoints >= 2, "checkpoints {}", chr.checkpoints);
     let split = r.task("FastQSplit").expect("FastQSplit ran");
@@ -145,11 +155,13 @@ fn objectives_trade_time_for_expense() {
     let w = srasearch::workflow();
     let time = Mashup::new(cfg.clone())
         .with_objective(Objective::ExecutionTime)
-        .run(&w)
+        .try_run(&w)
+        .unwrap()
         .report;
     let expense = Mashup::new(cfg)
         .with_objective(Objective::Expense)
-        .run(&w)
+        .try_run(&w)
+        .unwrap()
         .report;
     // The time objective never loses on time; the expense objective never
     // loses on dollars.

@@ -32,7 +32,8 @@ fn record(workflow: &mashup_dag::Workflow) -> String {
     let tracer = Tracer::new();
     Mashup::new(MashupConfig::aws(4))
         .with_tracer(tracer.clone())
-        .run(workflow);
+        .try_run(workflow)
+        .unwrap();
     to_jsonl(&tracer.take())
 }
 
@@ -40,7 +41,8 @@ fn record_chaos(workflow: &mashup_dag::Workflow, chaos: ChaosSpec) -> String {
     let tracer = Tracer::new();
     Mashup::new(MashupConfig::aws(4).with_chaos(chaos))
         .with_tracer(tracer.clone())
-        .run(workflow);
+        .try_run(workflow)
+        .unwrap();
     to_jsonl(&tracer.take())
 }
 

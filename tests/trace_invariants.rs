@@ -8,7 +8,7 @@
 //! trip the *specific* checker that guards the corrupted property, so the
 //! oracle cannot rot into a rubber stamp.
 
-use mashup_bench::{run_strategy_traced, Strategy};
+use mashup_baselines::Strategy;
 use mashup_cloud::{FaultPlan, FaultProfile};
 use mashup_core::trace::{
     check, Violation, CAPACITY, CKPT_WINDOW, COST, FAULT_ATTRIB, PRECEDENCE, REPLAN, WARM_START,
@@ -31,7 +31,9 @@ fn traced_run(
     strategy: Strategy,
 ) -> (WorkflowReport, Vec<TraceRecord>) {
     let tracer = Tracer::new();
-    let report = run_strategy_traced(cfg, workflow, strategy, &tracer);
+    let report = strategy
+        .run(cfg, workflow, &tracer, mashup_bench::plan_cache())
+        .unwrap();
     (report, tracer.take())
 }
 
