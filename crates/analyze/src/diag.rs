@@ -143,32 +143,19 @@ impl Deserialize for Code {
     }
 }
 
-/// How bad a diagnostic is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+/// How bad a diagnostic is. Serialized lowercase (`"warning"`/`"error"`).
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
 pub enum Severity {
     /// Suspicious but runnable; the engine proceeds.
+    #[serde(rename = "warning")]
     Warning,
     /// The input would panic or mislead mid-simulation; the engine refuses
     /// to run.
     #[default]
+    #[serde(rename = "error")]
     Error,
-}
-
-impl Serialize for Severity {
-    /// Serialized lowercase (`"warning"` / `"error"`).
-    fn to_value(&self) -> Value {
-        Value::String(self.to_string())
-    }
-}
-
-impl Deserialize for Severity {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        match v.as_str() {
-            Some("warning") => Ok(Severity::Warning),
-            Some("error") => Ok(Severity::Error),
-            _ => Err(SerdeError::expected("\"warning\" or \"error\"", v)),
-        }
-    }
 }
 
 impl fmt::Display for Severity {
@@ -180,17 +167,23 @@ impl fmt::Display for Severity {
     }
 }
 
-/// Where in the input a diagnostic points.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where in the input a diagnostic points. Serialized as an internally
+/// tagged object, e.g. `{"kind": "task", "phase": 0, "task": 1, "name":
+/// "Align"}`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(tag = "kind")]
 pub enum Location {
     /// The workflow as a whole.
+    #[serde(rename = "workflow")]
     Workflow,
     /// A specific phase.
+    #[serde(rename = "phase")]
     Phase {
         /// Phase index.
         phase: usize,
     },
     /// A specific task.
+    #[serde(rename = "task")]
     Task {
         /// Phase index.
         phase: usize,
@@ -200,8 +193,10 @@ pub enum Location {
         name: String,
     },
     /// The placement plan as a whole.
+    #[serde(rename = "plan")]
     Plan,
     /// A configuration field.
+    #[serde(rename = "config")]
     Config {
         /// Dotted field path, e.g. `"faas.timeout_secs"`.
         field: String,
@@ -222,59 +217,9 @@ impl fmt::Display for Location {
     }
 }
 
-/// Looks up a member of a serde object by name.
-fn member<'a>(v: &'a Value, name: &str) -> Result<&'a Value, SerdeError> {
-    v.as_object()
-        .ok_or_else(|| SerdeError::expected("object", v))?
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v)
-        .ok_or_else(|| SerdeError::missing_field(name))
-}
-
-impl Serialize for Location {
-    /// Serialized as an internally tagged object, e.g.
-    /// `{"kind": "task", "phase": 0, "task": 1, "name": "Align"}`.
-    fn to_value(&self) -> Value {
-        let kind = |k: &str| ("kind".to_string(), Value::String(k.to_string()));
-        Value::Object(match self {
-            Location::Workflow => vec![kind("workflow")],
-            Location::Phase { phase } => vec![kind("phase"), ("phase".into(), phase.to_value())],
-            Location::Task { phase, task, name } => vec![
-                kind("task"),
-                ("phase".into(), phase.to_value()),
-                ("task".into(), task.to_value()),
-                ("name".into(), name.to_value()),
-            ],
-            Location::Plan => vec![kind("plan")],
-            Location::Config { field } => vec![kind("config"), ("field".into(), field.to_value())],
-        })
-    }
-}
-
-impl Deserialize for Location {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        match member(v, "kind")?.as_str() {
-            Some("workflow") => Ok(Location::Workflow),
-            Some("phase") => Ok(Location::Phase {
-                phase: usize::from_value(member(v, "phase")?)?,
-            }),
-            Some("task") => Ok(Location::Task {
-                phase: usize::from_value(member(v, "phase")?)?,
-                task: usize::from_value(member(v, "task")?)?,
-                name: String::from_value(member(v, "name")?)?,
-            }),
-            Some("plan") => Ok(Location::Plan),
-            Some("config") => Ok(Location::Config {
-                field: String::from_value(member(v, "field")?)?,
-            }),
-            _ => Err(SerdeError::expected("location kind tag", v)),
-        }
-    }
-}
-
-/// One finding of the analyzer.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One finding of the analyzer. Serialized as an object; `help` is omitted
+/// when absent.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Diagnostic {
     /// Stable code (see [`Code`]).
     pub code: Code,
@@ -285,38 +230,8 @@ pub struct Diagnostic {
     /// Human-readable description of the problem.
     pub message: String,
     /// Optional remediation hint.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
     pub help: Option<String>,
-}
-
-impl Serialize for Diagnostic {
-    /// Serialized as an object; `help` is omitted when absent.
-    fn to_value(&self) -> Value {
-        let mut obj = vec![
-            ("code".to_string(), self.code.to_value()),
-            ("severity".to_string(), self.severity.to_value()),
-            ("location".to_string(), self.location.to_value()),
-            ("message".to_string(), self.message.to_value()),
-        ];
-        if let Some(help) = &self.help {
-            obj.push(("help".to_string(), help.to_value()));
-        }
-        Value::Object(obj)
-    }
-}
-
-impl Deserialize for Diagnostic {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        Ok(Diagnostic {
-            code: Code::from_value(member(v, "code")?)?,
-            severity: Severity::from_value(member(v, "severity")?)?,
-            location: Location::from_value(member(v, "location")?)?,
-            message: String::from_value(member(v, "message")?)?,
-            help: match member(v, "help") {
-                Ok(h) => Some(String::from_value(h)?),
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 impl Diagnostic {

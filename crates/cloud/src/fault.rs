@@ -70,55 +70,17 @@ impl StoreFault {
     }
 }
 
-// The vendored serde derive only covers unit-variant enums, so the two
-// fault enums serialize by hand as `{"kind": ..., <fields>}` objects.
-impl Serialize for StoreFault {
-    fn to_value(&self) -> serde::Value {
-        let (field, mag) = match *self {
-            StoreFault::Error { prob } => ("prob", prob),
-            StoreFault::Latency { extra_secs } => ("extra_secs", extra_secs),
-            StoreFault::Degrade { factor } => ("factor", factor),
-        };
-        serde::Value::Object(vec![
-            ("kind".to_owned(), self.kind().to_value()),
-            (field.to_owned(), mag.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for StoreFault {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let kind = v["kind"]
-            .as_str()
-            .ok_or_else(|| serde::Error::missing_field("kind"))?;
-        let num = |key: &str| {
-            v[key]
-                .as_f64()
-                .ok_or_else(|| serde::Error::missing_field(key))
-        };
-        match kind {
-            "storage-error" => Ok(StoreFault::Error { prob: num("prob")? }),
-            "storage-latency" => Ok(StoreFault::Latency {
-                extra_secs: num("extra_secs")?,
-            }),
-            "link-degrade" => Ok(StoreFault::Degrade {
-                factor: num("factor")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown StoreFault kind `{other}`"
-            ))),
-        }
-    }
-}
-
 /// One scheduled fault. Ids are positional: a fault's id is its index in
 /// [`FaultPlan::faults`], and every retry/migration record chains back to
-/// that id (checked by the oracle's T-FAULT-ATTRIB rule).
-#[derive(Debug, Clone, PartialEq)]
+/// that id (checked by the oracle's T-FAULT-ATTRIB rule). Serialized as
+/// `{"kind": "storage-error", "from_secs": ..., ...}`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "kind")]
 pub enum Fault {
     /// The provider reclaims a spot VM node at `at_secs`. `node` is a flat
     /// cluster-wide index; the cluster maps it onto its actual
     /// (sub-cluster, node) topology at reclaim time.
+    #[serde(rename = "preempt")]
     Preempt {
         /// Reclaim instant, seconds.
         at_secs: f64,
@@ -127,6 +89,7 @@ pub enum Fault {
     },
     /// Transient GET errors: reads in the window fail with `prob` and are
     /// retried from a replica.
+    #[serde(rename = "storage-error")]
     StorageError {
         /// Window start, seconds.
         from_secs: f64,
@@ -136,6 +99,7 @@ pub enum Fault {
         prob: f64,
     },
     /// A storage latency spike: every request in the window pays extra.
+    #[serde(rename = "storage-latency")]
     StorageLatency {
         /// Window start, seconds.
         from_secs: f64,
@@ -146,6 +110,7 @@ pub enum Fault {
     },
     /// Store/WAN link degradation: data-plane flows in the window are
     /// capped to `factor` of their normal bandwidth.
+    #[serde(rename = "link-degrade")]
     LinkDegrade {
         /// Window start, seconds.
         from_secs: f64,
@@ -175,91 +140,6 @@ impl Fault {
                 until_secs,
                 factor,
             } => Some((from_secs, until_secs, StoreFault::Degrade { factor })),
-        }
-    }
-}
-
-impl Serialize for Fault {
-    fn to_value(&self) -> serde::Value {
-        let mut obj: Vec<(String, serde::Value)> = Vec::new();
-        let mut put = |k: &str, v: serde::Value| obj.push((k.to_owned(), v));
-        match *self {
-            Fault::Preempt { at_secs, node } => {
-                put("kind", "preempt".to_value());
-                put("at_secs", at_secs.to_value());
-                put("node", node.to_value());
-            }
-            Fault::StorageError {
-                from_secs,
-                until_secs,
-                prob,
-            } => {
-                put("kind", "storage-error".to_value());
-                put("from_secs", from_secs.to_value());
-                put("until_secs", until_secs.to_value());
-                put("prob", prob.to_value());
-            }
-            Fault::StorageLatency {
-                from_secs,
-                until_secs,
-                extra_secs,
-            } => {
-                put("kind", "storage-latency".to_value());
-                put("from_secs", from_secs.to_value());
-                put("until_secs", until_secs.to_value());
-                put("extra_secs", extra_secs.to_value());
-            }
-            Fault::LinkDegrade {
-                from_secs,
-                until_secs,
-                factor,
-            } => {
-                put("kind", "link-degrade".to_value());
-                put("from_secs", from_secs.to_value());
-                put("until_secs", until_secs.to_value());
-                put("factor", factor.to_value());
-            }
-        }
-        serde::Value::Object(obj)
-    }
-}
-
-impl Deserialize for Fault {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let kind = v["kind"]
-            .as_str()
-            .ok_or_else(|| serde::Error::missing_field("kind"))?;
-        let num = |key: &str| {
-            v[key]
-                .as_f64()
-                .ok_or_else(|| serde::Error::missing_field(key))
-        };
-        match kind {
-            "preempt" => Ok(Fault::Preempt {
-                at_secs: num("at_secs")?,
-                node: v["node"]
-                    .as_u64()
-                    .ok_or_else(|| serde::Error::missing_field("node"))?
-                    as usize,
-            }),
-            "storage-error" => Ok(Fault::StorageError {
-                from_secs: num("from_secs")?,
-                until_secs: num("until_secs")?,
-                prob: num("prob")?,
-            }),
-            "storage-latency" => Ok(Fault::StorageLatency {
-                from_secs: num("from_secs")?,
-                until_secs: num("until_secs")?,
-                extra_secs: num("extra_secs")?,
-            }),
-            "link-degrade" => Ok(Fault::LinkDegrade {
-                from_secs: num("from_secs")?,
-                until_secs: num("until_secs")?,
-                factor: num("factor")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown Fault kind `{other}`"
-            ))),
         }
     }
 }
@@ -553,10 +433,26 @@ mod tests {
         assert_eq!(plan, back);
     }
 
+    /// Wire bytes of `generate(11, &mixed(300.0), 6, 0.12)`: a codec change
+    /// that alters the fault-plan format fails here.
+    const MIXED_PLAN_JSON: &str = concat!(
+        r#"{"seed":11,"faults":["#,
+        r#"{"kind":"preempt","at_secs":177.1200271387363,"node":1},"#,
+        r#"{"kind":"preempt","at_secs":48.98437124828283,"node":0},"#,
+        r#"{"kind":"preempt","at_secs":161.69390892583414,"node":3},"#,
+        r#"{"kind":"storage-error","from_secs":145.58377518845626,"until_secs":185.1574296878028,"prob":0.3},"#,
+        r#"{"kind":"storage-error","from_secs":80.00356615897392,"until_secs":133.2648864920775,"prob":0.3},"#,
+        r#"{"kind":"storage-latency","from_secs":64.69465505121578,"until_secs":114.89798078399673,"extra_secs":0.2},"#,
+        r#"{"kind":"storage-latency","from_secs":132.73177252746515,"until_secs":158.21786004661215,"extra_secs":0.2},"#,
+        r#"{"kind":"link-degrade","from_secs":56.78570302303309,"until_secs":116.26786896874181,"factor":0.4}"#,
+        r#"],"spot_price_trace":[[0,0.05470962858130446],[75,0.09857605476174795],[150,0.10150618588703954],[225,0.07562289494238214]]}"#,
+    );
+
     #[test]
     fn generated_plan_serde_round_trips() {
         let plan = FaultPlan::generate(11, &FaultProfile::mixed(300.0), 6, 0.12);
         let json = serde_json::to_string(&plan).expect("serialize");
+        assert_eq!(json, MIXED_PLAN_JSON);
         let back: FaultPlan = serde_json::from_str(&json).expect("parse");
         assert_eq!(plan, back);
     }

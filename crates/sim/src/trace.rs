@@ -18,48 +18,38 @@
 //!   dispatch, resource grants, individual link transfers) for deep-dive
 //!   timelines; too chatty for fixtures.
 //!
-//! Serialization is deliberately hand-rolled and stable: the compact JSONL
-//! form ([`to_jsonl`]/[`from_jsonl`]) writes one flat JSON object per record
-//! with floats in Rust's shortest round-trip formatting, so traces diff
-//! cleanly and parse back bit-identically. [`to_chrome_trace`] converts the
-//! same records into Chrome's `trace_event` JSON for `chrome://tracing` /
-//! Perfetto.
+//! Serialization is derived: [`TraceEvent`] is an internally tagged enum
+//! (`#[serde(tag = "ev")]`), and [`TraceRecord`] puts `seq` and `t` in
+//! front of the event's fields, so the compact JSONL form
+//! ([`to_jsonl`]/[`from_jsonl`]) is one flat JSON object per record. The
+//! module's own printer writes floats in Rust's shortest round-trip
+//! formatting, so traces diff cleanly and parse back bit-identically.
+//! [`to_chrome_trace`] converts the same records into Chrome's
+//! `trace_event` JSON for `chrome://tracing` / Perfetto.
 
 use crate::shared::Shared;
 use crate::time::SimTime;
+use serde::{Deserialize, Number, Serialize, Value};
 
 /// Why a function invocation was killed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KillReason {
     /// The platform watchdog ended the invocation at its timeout deadline.
+    #[serde(rename = "watchdog")]
     Watchdog,
     /// An injected microVM failure ended it mid-window.
+    #[serde(rename = "injected")]
     Injected,
-}
-
-impl KillReason {
-    /// Stable string form used in serialized traces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KillReason::Watchdog => "watchdog",
-            KillReason::Injected => "injected",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "watchdog" => Some(KillReason::Watchdog),
-            "injected" => Some(KillReason::Injected),
-            _ => None,
-        }
-    }
 }
 
 /// One typed flight-recorder event.
 ///
 /// Labels are plain strings because the engine is domain-free; the cloud and
 /// core layers put task names, code keys, and platform labels in them.
-#[derive(Debug, Clone, PartialEq)]
+/// Serialized with the variant name under `"ev"`; fields keep their names
+/// unless a shorter JSON key is given (`latency_secs` → `"latency"`).
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "ev")]
 pub enum TraceEvent {
     /// Engine dispatched one event (verbose level only).
     Dispatch {
@@ -100,10 +90,13 @@ pub enum TraceEvent {
         /// True for a cold start, false for a warm-pool hit.
         cold: bool,
         /// Start latency in seconds (cold or warm).
+        #[serde(rename = "latency")]
         latency_secs: f64,
         /// Instant the function body becomes runnable, seconds.
+        #[serde(rename = "ready")]
         ready_secs: f64,
         /// Watchdog deadline, seconds.
+        #[serde(rename = "deadline")]
         deadline_secs: f64,
     },
     /// A function invocation completed and was billed.
@@ -111,6 +104,7 @@ pub enum TraceEvent {
         /// Platform-wide invocation id.
         id: u64,
         /// Billed function-seconds for this invocation.
+        #[serde(rename = "billed")]
         billed_secs: f64,
     },
     /// A function invocation was killed (watchdog or injected failure).
@@ -120,6 +114,7 @@ pub enum TraceEvent {
         /// What killed it.
         reason: KillReason,
         /// Billed function-seconds up to the kill.
+        #[serde(rename = "billed")]
         billed_secs: f64,
     },
     /// A microVM was pre-warmed into the pool (billed as a cold start).
@@ -127,10 +122,13 @@ pub enum TraceEvent {
         /// Code identity the warm entry is usable for.
         code: String,
         /// Billed cold-start latency, seconds.
+        #[serde(rename = "latency")]
         latency_secs: f64,
         /// Instant the entry becomes available, seconds.
+        #[serde(rename = "warm")]
         warm_secs: f64,
         /// Instant the entry expires, seconds.
+        #[serde(rename = "expires")]
         expires_secs: f64,
     },
     /// A FaaS execution segment began running inside an invocation.
@@ -157,6 +155,7 @@ pub enum TraceEvent {
         /// Checkpoint size in bytes.
         bytes: f64,
         /// Compute seconds still owed after this checkpoint.
+        #[serde(rename = "remaining")]
         remaining_secs: f64,
     },
     /// A successor segment restored the chain's last checkpoint.
@@ -168,6 +167,7 @@ pub enum TraceEvent {
         /// Invocation id doing the restore.
         inv: u64,
         /// Compute seconds the restored state still owes.
+        #[serde(rename = "remaining")]
         remaining_secs: f64,
     },
     /// A VM-side component started computing on a node.
@@ -264,8 +264,10 @@ pub enum TraceEvent {
         /// Task name.
         task: String,
         /// Profiled cluster-side time, seconds.
+        #[serde(rename = "t_vm")]
         t_vm_secs: f64,
         /// Estimated serverless time, seconds (infinite when forced to VM).
+        #[serde(rename = "t_serverless")]
         t_serverless_secs: f64,
         /// Chosen platform label.
         platform: String,
@@ -295,6 +297,7 @@ pub enum TraceEvent {
         /// Fault kind: `storage-error`, `storage-latency`, or `link-degrade`.
         kind: String,
         /// Instant the window deactivates, seconds.
+        #[serde(rename = "until")]
         until_secs: f64,
         /// Kind-specific magnitude: error probability, extra latency in
         /// seconds, or bandwidth factor.
@@ -479,274 +482,83 @@ fn push_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Flat JSON-object builder for one record line. Floats use `{:?}`
-/// (shortest round-trip), so written traces parse back bit-identically.
-struct Line(String);
+/// Prints `v` as compact JSON with floats in `{:?}` form (shortest round
+/// trip: `0.0`, `1e-7`), so written traces parse back bit-identically.
+/// `serde_json` prints floats with `Display` (`0`, `0.0000001`) for the
+/// figure files, so traces keep this printer of their own.
+fn write_json(v: &Value, out: &mut String) {
+    use std::fmt::Write as _;
+    let _ = match v {
+        Value::Null => write!(out, "null"),
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Number(Number::U(n)) => write!(out, "{n}"),
+        Value::Number(Number::I(n)) => write!(out, "{n}"),
+        Value::Number(Number::F(x)) => write!(out, "{x:?}"),
+        Value::String(s) => {
+            push_escaped(s, out);
+            Ok(())
+        }
+        Value::Array(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json(item, out);
+            }
+            write!(out, "]")
+        }
+        Value::Object(entries) => {
+            out.push('{');
+            for (i, (k, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_escaped(k, out);
+                out.push(':');
+                write_json(item, out);
+            }
+            write!(out, "}}")
+        }
+    };
+}
 
-impl Line {
-    fn new(seq: u64, t_secs: f64, ev: &str) -> Self {
-        Line(format!("{{\"seq\":{seq},\"t\":{t_secs:?},\"ev\":\"{ev}\""))
-    }
-    fn s(mut self, key: &str, v: &str) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":");
-        push_escaped(v, &mut self.0);
-        self
-    }
-    fn f(mut self, key: &str, v: f64) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":{v:?}");
-        self
-    }
-    fn u(mut self, key: &str, v: u64) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":{v}");
-        self
-    }
-    fn b(mut self, key: &str, v: bool) -> Self {
-        use std::fmt::Write as _;
-        let _ = write!(self.0, ",\"{key}\":{v}");
-        self
-    }
-    fn finish(mut self) -> String {
-        self.0.push('}');
-        self.0
+fn json_string(v: &Value) -> String {
+    let mut out = String::new();
+    write_json(v, &mut out);
+    out
+}
+
+/// The `seq`/`t` head of a JSONL line, read from the same flat object as
+/// the event's own fields.
+#[derive(Deserialize)]
+struct Stamp {
+    seq: u64,
+    #[serde(rename = "t")]
+    t_secs: f64,
+}
+
+impl Serialize for TraceRecord {
+    fn to_value(&self) -> Value {
+        let Value::Object(fields) = self.event.to_value() else {
+            unreachable!("a tagged enum serializes as an object")
+        };
+        let mut line = Vec::with_capacity(fields.len() + 2);
+        line.push(("seq".to_owned(), self.seq.to_value()));
+        line.push(("t".to_owned(), self.t_secs.to_value()));
+        line.extend(fields);
+        Value::Object(line)
     }
 }
 
-/// Serializes one record to its compact JSONL line (no trailing newline).
-pub fn record_to_json(r: &TraceRecord) -> String {
-    let line = |ev: &str| Line::new(r.seq, r.t_secs, ev);
-    match &r.event {
-        TraceEvent::Dispatch { events } => line("Dispatch").u("events", *events).finish(),
-        TraceEvent::ResourceGrant {
-            resource,
-            in_use,
-            capacity,
-        } => line("ResourceGrant")
-            .s("resource", resource)
-            .u("in_use", *in_use as u64)
-            .u("capacity", *capacity as u64)
-            .finish(),
-        TraceEvent::TransferStart { link, id, bytes } => line("TransferStart")
-            .s("link", link)
-            .u("id", *id)
-            .f("bytes", *bytes)
-            .finish(),
-        TraceEvent::TransferEnd { link, id } => {
-            line("TransferEnd").s("link", link).u("id", *id).finish()
-        }
-        TraceEvent::FnStart {
-            id,
-            code,
-            cold,
-            latency_secs,
-            ready_secs,
-            deadline_secs,
-        } => line("FnStart")
-            .u("id", *id)
-            .s("code", code)
-            .b("cold", *cold)
-            .f("latency", *latency_secs)
-            .f("ready", *ready_secs)
-            .f("deadline", *deadline_secs)
-            .finish(),
-        TraceEvent::FnEnd { id, billed_secs } => line("FnEnd")
-            .u("id", *id)
-            .f("billed", *billed_secs)
-            .finish(),
-        TraceEvent::FnKill {
-            id,
-            reason,
-            billed_secs,
-        } => line("FnKill")
-            .u("id", *id)
-            .s("reason", reason.as_str())
-            .f("billed", *billed_secs)
-            .finish(),
-        TraceEvent::FnPrewarm {
-            code,
-            latency_secs,
-            warm_secs,
-            expires_secs,
-        } => line("FnPrewarm")
-            .s("code", code)
-            .f("latency", *latency_secs)
-            .f("warm", *warm_secs)
-            .f("expires", *expires_secs)
-            .finish(),
-        TraceEvent::SegmentStart {
-            task,
-            chain,
-            inv,
-            resume,
-            mem_gb,
-        } => line("SegmentStart")
-            .s("task", task)
-            .u("chain", u64::from(*chain))
-            .u("inv", *inv)
-            .b("resume", *resume)
-            .f("mem_gb", *mem_gb)
-            .finish(),
-        TraceEvent::Checkpoint {
-            task,
-            chain,
-            inv,
-            bytes,
-            remaining_secs,
-        } => line("Checkpoint")
-            .s("task", task)
-            .u("chain", u64::from(*chain))
-            .u("inv", *inv)
-            .f("bytes", *bytes)
-            .f("remaining", *remaining_secs)
-            .finish(),
-        TraceEvent::CheckpointResume {
-            task,
-            chain,
-            inv,
-            remaining_secs,
-        } => line("CheckpointResume")
-            .s("task", task)
-            .u("chain", u64::from(*chain))
-            .u("inv", *inv)
-            .f("remaining", *remaining_secs)
-            .finish(),
-        TraceEvent::VmCompStart {
-            task,
-            sub,
-            node,
-            load,
-            mem_gb,
-            factor,
-            thrash,
-        } => line("VmCompStart")
-            .s("task", task)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .u("load", *load as u64)
-            .f("mem_gb", *mem_gb)
-            .f("factor", *factor)
-            .b("thrash", *thrash)
-            .finish(),
-        TraceEvent::VmCompEnd { task, sub, node } => line("VmCompEnd")
-            .s("task", task)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .finish(),
-        TraceEvent::BillingStart { nodes } => {
-            line("BillingStart").u("nodes", *nodes as u64).finish()
-        }
-        TraceEvent::BillingStop { node_seconds } => line("BillingStop")
-            .f("node_seconds", *node_seconds)
-            .finish(),
-        TraceEvent::StoreGet {
-            bytes,
-            requests,
-            retried,
-        } => line("StoreGet")
-            .f("bytes", *bytes)
-            .u("requests", *requests)
-            .b("retried", *retried)
-            .finish(),
-        TraceEvent::StorePut {
-            bytes,
-            requests,
-            replicas,
-        } => line("StorePut")
-            .f("bytes", *bytes)
-            .u("requests", *requests)
-            .u("replicas", *replicas)
-            .finish(),
-        TraceEvent::ObjectPut { key, bytes } => {
-            line("ObjectPut").s("key", key).f("bytes", *bytes).finish()
-        }
-        TraceEvent::ObjectRemove { key } => line("ObjectRemove").s("key", key).finish(),
-        TraceEvent::PhaseStart { phase, tasks } => line("PhaseStart")
-            .u("phase", *phase as u64)
-            .u("tasks", *tasks as u64)
-            .finish(),
-        TraceEvent::TaskStart {
-            task,
-            phase,
-            platform,
-            components,
-        } => line("TaskStart")
-            .s("task", task)
-            .u("phase", *phase as u64)
-            .s("platform", platform)
-            .u("components", *components as u64)
-            .finish(),
-        TraceEvent::TaskEnd { task } => line("TaskEnd").s("task", task).finish(),
-        TraceEvent::PdcDecision {
-            task,
-            t_vm_secs,
-            t_serverless_secs,
-            platform,
-            forced,
-        } => line("PdcDecision")
-            .s("task", task)
-            .f("t_vm", *t_vm_secs)
-            .f("t_serverless", *t_serverless_secs)
-            .s("platform", platform)
-            .s("forced", forced)
-            .finish(),
-        TraceEvent::PdcCache { section, hit } => line("PdcCache")
-            .s("section", section)
-            .b("hit", *hit)
-            .finish(),
-        TraceEvent::SpotPreempt { id, sub, node } => line("SpotPreempt")
-            .u("id", *id)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .finish(),
-        TraceEvent::FaultInjected {
-            id,
-            kind,
-            until_secs,
-            magnitude,
-        } => line("FaultInjected")
-            .u("id", *id)
-            .s("kind", kind)
-            .f("until", *until_secs)
-            .f("magnitude", *magnitude)
-            .finish(),
-        TraceEvent::FaultRetry { id, op } => line("FaultRetry").u("id", *id).s("op", op).finish(),
-        TraceEvent::CompRetry {
-            id,
-            task,
-            sub,
-            node,
-        } => line("CompRetry")
-            .u("id", *id)
-            .s("task", task)
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .finish(),
-        TraceEvent::Replan {
-            phase,
-            reason,
-            nodes_before,
-            nodes_after,
-            moved,
-        } => line("Replan")
-            .u("phase", *phase as u64)
-            .s("reason", reason)
-            .u("nodes_before", *nodes_before as u64)
-            .u("nodes_after", *nodes_after as u64)
-            .u("moved", *moved as u64)
-            .finish(),
-        TraceEvent::SpotBill {
-            sub,
-            node,
-            node_seconds,
-            dollars,
-        } => line("SpotBill")
-            .u("sub", *sub as u64)
-            .u("node", *node as u64)
-            .f("node_seconds", *node_seconds)
-            .f("dollars", *dollars)
-            .finish(),
+impl Deserialize for TraceRecord {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let Stamp { seq, t_secs } = Stamp::from_value(v)?;
+        Ok(TraceRecord {
+            seq,
+            t_secs,
+            event: TraceEvent::from_value(v)?,
+        })
     }
 }
 
@@ -755,224 +567,20 @@ pub fn record_to_json(r: &TraceRecord) -> String {
 pub fn to_jsonl(records: &[TraceRecord]) -> String {
     let mut out = String::new();
     for r in records {
-        out.push_str(&record_to_json(r));
+        write_json(&r.to_value(), &mut out);
         out.push('\n');
     }
     out
 }
 
-fn req<'v>(v: &'v serde::Value, key: &str, line: usize) -> Result<&'v serde::Value, String> {
-    v.get(key)
-        .ok_or_else(|| format!("line {line}: missing field '{key}'"))
-}
-
-fn req_f64(v: &serde::Value, key: &str, line: usize) -> Result<f64, String> {
-    req(v, key, line)?
-        .as_f64()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a number"))
-}
-
-fn req_u64(v: &serde::Value, key: &str, line: usize) -> Result<u64, String> {
-    req(v, key, line)?
-        .as_u64()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not an integer"))
-}
-
-fn req_usize(v: &serde::Value, key: &str, line: usize) -> Result<usize, String> {
-    usize::try_from(req_u64(v, key, line)?).map_err(|_| format!("line {line}: '{key}' overflows"))
-}
-
-fn req_bool(v: &serde::Value, key: &str, line: usize) -> Result<bool, String> {
-    req(v, key, line)?
-        .as_bool()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a bool"))
-}
-
-fn req_str(v: &serde::Value, key: &str, line: usize) -> Result<String, String> {
-    Ok(req(v, key, line)?
-        .as_str()
-        .ok_or_else(|| format!("line {line}: field '{key}' is not a string"))?
-        .to_string())
-}
-
 /// Parses the compact JSONL form back into records. Unknown event names are
 /// an error, so readers notice vocabulary drift instead of skipping data.
 pub fn from_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut out = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let n = idx + 1;
-        if raw.trim().is_empty() {
-            continue;
-        }
-        let v: serde::Value =
-            serde_json::from_str(raw).map_err(|e| format!("line {n}: invalid JSON: {e}"))?;
-        let ev = req_str(&v, "ev", n)?;
-        let event = match ev.as_str() {
-            "Dispatch" => TraceEvent::Dispatch {
-                events: req_u64(&v, "events", n)?,
-            },
-            "ResourceGrant" => TraceEvent::ResourceGrant {
-                resource: req_str(&v, "resource", n)?,
-                in_use: req_usize(&v, "in_use", n)?,
-                capacity: req_usize(&v, "capacity", n)?,
-            },
-            "TransferStart" => TraceEvent::TransferStart {
-                link: req_str(&v, "link", n)?,
-                id: req_u64(&v, "id", n)?,
-                bytes: req_f64(&v, "bytes", n)?,
-            },
-            "TransferEnd" => TraceEvent::TransferEnd {
-                link: req_str(&v, "link", n)?,
-                id: req_u64(&v, "id", n)?,
-            },
-            "FnStart" => TraceEvent::FnStart {
-                id: req_u64(&v, "id", n)?,
-                code: req_str(&v, "code", n)?,
-                cold: req_bool(&v, "cold", n)?,
-                latency_secs: req_f64(&v, "latency", n)?,
-                ready_secs: req_f64(&v, "ready", n)?,
-                deadline_secs: req_f64(&v, "deadline", n)?,
-            },
-            "FnEnd" => TraceEvent::FnEnd {
-                id: req_u64(&v, "id", n)?,
-                billed_secs: req_f64(&v, "billed", n)?,
-            },
-            "FnKill" => TraceEvent::FnKill {
-                id: req_u64(&v, "id", n)?,
-                reason: KillReason::parse(&req_str(&v, "reason", n)?)
-                    .ok_or_else(|| format!("line {n}: unknown kill reason"))?,
-                billed_secs: req_f64(&v, "billed", n)?,
-            },
-            "FnPrewarm" => TraceEvent::FnPrewarm {
-                code: req_str(&v, "code", n)?,
-                latency_secs: req_f64(&v, "latency", n)?,
-                warm_secs: req_f64(&v, "warm", n)?,
-                expires_secs: req_f64(&v, "expires", n)?,
-            },
-            "SegmentStart" => TraceEvent::SegmentStart {
-                task: req_str(&v, "task", n)?,
-                chain: req_u64(&v, "chain", n)? as u32,
-                inv: req_u64(&v, "inv", n)?,
-                resume: req_bool(&v, "resume", n)?,
-                mem_gb: req_f64(&v, "mem_gb", n)?,
-            },
-            "Checkpoint" => TraceEvent::Checkpoint {
-                task: req_str(&v, "task", n)?,
-                chain: req_u64(&v, "chain", n)? as u32,
-                inv: req_u64(&v, "inv", n)?,
-                bytes: req_f64(&v, "bytes", n)?,
-                remaining_secs: req_f64(&v, "remaining", n)?,
-            },
-            "CheckpointResume" => TraceEvent::CheckpointResume {
-                task: req_str(&v, "task", n)?,
-                chain: req_u64(&v, "chain", n)? as u32,
-                inv: req_u64(&v, "inv", n)?,
-                remaining_secs: req_f64(&v, "remaining", n)?,
-            },
-            "VmCompStart" => TraceEvent::VmCompStart {
-                task: req_str(&v, "task", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-                load: req_usize(&v, "load", n)?,
-                mem_gb: req_f64(&v, "mem_gb", n)?,
-                factor: req_f64(&v, "factor", n)?,
-                thrash: req_bool(&v, "thrash", n)?,
-            },
-            "VmCompEnd" => TraceEvent::VmCompEnd {
-                task: req_str(&v, "task", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-            },
-            "BillingStart" => TraceEvent::BillingStart {
-                nodes: req_usize(&v, "nodes", n)?,
-            },
-            "BillingStop" => TraceEvent::BillingStop {
-                node_seconds: req_f64(&v, "node_seconds", n)?,
-            },
-            "StoreGet" => TraceEvent::StoreGet {
-                bytes: req_f64(&v, "bytes", n)?,
-                requests: req_u64(&v, "requests", n)?,
-                retried: req_bool(&v, "retried", n)?,
-            },
-            "StorePut" => TraceEvent::StorePut {
-                bytes: req_f64(&v, "bytes", n)?,
-                requests: req_u64(&v, "requests", n)?,
-                replicas: req_u64(&v, "replicas", n)?,
-            },
-            "ObjectPut" => TraceEvent::ObjectPut {
-                key: req_str(&v, "key", n)?,
-                bytes: req_f64(&v, "bytes", n)?,
-            },
-            "ObjectRemove" => TraceEvent::ObjectRemove {
-                key: req_str(&v, "key", n)?,
-            },
-            "PhaseStart" => TraceEvent::PhaseStart {
-                phase: req_usize(&v, "phase", n)?,
-                tasks: req_usize(&v, "tasks", n)?,
-            },
-            "TaskStart" => TraceEvent::TaskStart {
-                task: req_str(&v, "task", n)?,
-                phase: req_usize(&v, "phase", n)?,
-                platform: req_str(&v, "platform", n)?,
-                components: req_usize(&v, "components", n)?,
-            },
-            "TaskEnd" => TraceEvent::TaskEnd {
-                task: req_str(&v, "task", n)?,
-            },
-            "PdcDecision" => TraceEvent::PdcDecision {
-                task: req_str(&v, "task", n)?,
-                t_vm_secs: req_f64(&v, "t_vm", n)?,
-                t_serverless_secs: req_f64(&v, "t_serverless", n)?,
-                platform: req_str(&v, "platform", n)?,
-                forced: req_str(&v, "forced", n)?,
-            },
-            "PdcCache" => TraceEvent::PdcCache {
-                section: req_str(&v, "section", n)?,
-                hit: req_bool(&v, "hit", n)?,
-            },
-            "SpotPreempt" => TraceEvent::SpotPreempt {
-                id: req_u64(&v, "id", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-            },
-            "FaultInjected" => TraceEvent::FaultInjected {
-                id: req_u64(&v, "id", n)?,
-                kind: req_str(&v, "kind", n)?,
-                until_secs: req_f64(&v, "until", n)?,
-                magnitude: req_f64(&v, "magnitude", n)?,
-            },
-            "FaultRetry" => TraceEvent::FaultRetry {
-                id: req_u64(&v, "id", n)?,
-                op: req_str(&v, "op", n)?,
-            },
-            "CompRetry" => TraceEvent::CompRetry {
-                id: req_u64(&v, "id", n)?,
-                task: req_str(&v, "task", n)?,
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-            },
-            "Replan" => TraceEvent::Replan {
-                phase: req_usize(&v, "phase", n)?,
-                reason: req_str(&v, "reason", n)?,
-                nodes_before: req_usize(&v, "nodes_before", n)?,
-                nodes_after: req_usize(&v, "nodes_after", n)?,
-                moved: req_usize(&v, "moved", n)?,
-            },
-            "SpotBill" => TraceEvent::SpotBill {
-                sub: req_usize(&v, "sub", n)?,
-                node: req_usize(&v, "node", n)?,
-                node_seconds: req_f64(&v, "node_seconds", n)?,
-                dollars: req_f64(&v, "dollars", n)?,
-            },
-            other => return Err(format!("line {n}: unknown event '{other}'")),
-        };
-        out.push(TraceRecord {
-            seq: req_u64(&v, "seq", n)?,
-            t_secs: req_f64(&v, "t", n)?,
-            event,
-        });
-    }
-    Ok(out)
+    text.lines()
+        .enumerate()
+        .filter(|(_, raw)| !raw.trim().is_empty())
+        .map(|(idx, raw)| serde_json::from_str(raw).map_err(|e| format!("line {}: {e}", idx + 1)))
+        .collect()
 }
 
 // --------------------------------------------------------------------------
@@ -1103,47 +711,21 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
                     r.t_secs,
                     3,
                     id % 64,
-                    &[("kill", format!("\"{}\"", reason.as_str()))],
+                    &[("kill", json_string(&reason.to_value()))],
                 );
             }
-            other => {
+            _ => {
                 // Everything else is an instant marker named after the
                 // serialized event tag.
-                let json = record_to_json(r);
-                let tag = match other {
-                    TraceEvent::SegmentStart { .. } => "SegmentStart",
-                    TraceEvent::Checkpoint { .. } => "Checkpoint",
-                    TraceEvent::CheckpointResume { .. } => "CheckpointResume",
-                    TraceEvent::FnPrewarm { .. } => "FnPrewarm",
-                    TraceEvent::StoreGet { .. } => "StoreGet",
-                    TraceEvent::StorePut { .. } => "StorePut",
-                    TraceEvent::ObjectPut { .. } => "ObjectPut",
-                    TraceEvent::ObjectRemove { .. } => "ObjectRemove",
-                    TraceEvent::PhaseStart { .. } => "PhaseStart",
-                    TraceEvent::BillingStart { .. } => "BillingStart",
-                    TraceEvent::BillingStop { .. } => "BillingStop",
-                    TraceEvent::PdcDecision { .. } => "PdcDecision",
-                    TraceEvent::PdcCache { .. } => "PdcCache",
-                    TraceEvent::SpotPreempt { .. } => "SpotPreempt",
-                    TraceEvent::FaultInjected { .. } => "FaultInjected",
-                    TraceEvent::FaultRetry { .. } => "FaultRetry",
-                    TraceEvent::CompRetry { .. } => "CompRetry",
-                    TraceEvent::Replan { .. } => "Replan",
-                    TraceEvent::SpotBill { .. } => "SpotBill",
-                    TraceEvent::Dispatch { .. } => "Dispatch",
-                    TraceEvent::ResourceGrant { .. } => "ResourceGrant",
-                    TraceEvent::TransferStart { .. } => "TransferStart",
-                    TraceEvent::TransferEnd { .. } => "TransferEnd",
-                    _ => unreachable!("duration events handled above"),
-                };
+                let line = r.to_value();
                 chrome_event(
                     &mut events,
-                    tag,
+                    line["ev"].as_str().unwrap_or_default(),
                     "i",
                     r.t_secs,
                     0,
                     0,
-                    &[("record", format!("{json:?}"))],
+                    &[("record", format!("{:?}", json_string(&line)))],
                 );
             }
         }
