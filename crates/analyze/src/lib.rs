@@ -21,6 +21,20 @@
 //! typed [`AnalysisError`]. Analysis is read-only over its inputs — it
 //! draws no randomness and mutates nothing, so enabling it cannot perturb
 //! simulated results.
+//!
+//! The command-line reporter is `mashup analyze`, in the root package:
+//!
+//! ```text
+//! mashup analyze <workflow>... [--nodes N] [--plan FILE] [--json] [--suite]
+//! ```
+//!
+//! It prints every finding at once, the config checks first (for
+//! `MashupConfig::aws(N)`, `N` defaulting to 8) and then each workflow, in
+//! sections headed `== <target>`, or as one JSON array with `--json`.
+//! `--plan` adds the plan checks against every workflow, and `--suite` adds
+//! the paper workflows and six synthetic ones. Workflows are not
+//! structurally validated first, so malformed ones get their full report.
+//! It exits 1 when any error-level diagnostic fires.
 
 #![warn(missing_docs)]
 

@@ -207,7 +207,7 @@ pub fn ablations() -> Ablations {
         ablate_warm_family,
         ablate_subclusters,
     ];
-    let rows = crate::sweep::par_map(studies, |study| study())
+    let rows = crate::par_map(studies, |study| study())
         .into_iter()
         .flatten()
         .collect();

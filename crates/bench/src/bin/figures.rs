@@ -185,11 +185,7 @@ fn main() {
             s.probes.hits,
             s.probes.misses,
             s.entries(),
-            if s.hits() + s.misses() == 0 {
-                0.0
-            } else {
-                s.hits() as f64 * 100.0 / (s.hits() + s.misses()) as f64
-            },
+            s.hit_pct(),
         );
         eprintln!(
             "[plan-cache] miss-side planning compute: calibration {:.2}s, \

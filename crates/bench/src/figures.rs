@@ -1,8 +1,8 @@
 //! One harness function per paper table/figure. See `EXPERIMENTS.md` for
 //! paper-vs-measured numbers.
 
-use crate::strategies::run_strategy;
-use crate::sweep::par_map;
+use crate::par_map;
+use crate::strategies::{recorded, run_strategy};
 use crate::table::{f1, pct, usd, Table};
 use mashup_baselines::Strategy;
 use mashup_core::{improvement_pct, Mashup, MashupConfig, Objective, Platform};
@@ -303,26 +303,17 @@ pub fn fig05_objectives() -> Fig05 {
             if let Some(cache) = crate::plan_cache::plan_cache() {
                 engine = engine.with_cache(cache);
             }
-            let tracer = if crate::trace_dir::trace_dir().is_some() {
-                mashup_core::Tracer::new()
-            } else {
-                mashup_core::Tracer::off()
-            };
-            let o = engine
-                .with_tracer(tracer.clone())
-                .try_run(&w)
-                .unwrap_or_else(|e| panic!("{}: {e}", w.name));
-            if tracer.is_on() {
-                crate::trace_dir::write_trace(
-                    &o.report.workflow,
-                    &format!("mashup-{label}"),
-                    &tracer.take(),
-                );
-            }
+            let report = recorded(&format!("mashup-{label}"), |tracer| {
+                engine
+                    .with_tracer(tracer.clone())
+                    .try_run(&w)
+                    .unwrap_or_else(|e| panic!("{}: {e}", w.name))
+                    .report
+            });
             (
                 label.to_string(),
-                o.report.makespan_secs,
-                o.report.expense.total(),
+                report.makespan_secs,
+                report.expense.total(),
             )
         },
     );

@@ -21,15 +21,17 @@ pub mod plan_cache;
 pub mod preflight;
 pub mod scale;
 pub mod strategies;
-pub mod sweep;
 pub mod table;
 pub mod trace_dir;
 
 pub use ablations::{ablations, AblationRow, Ablations};
 pub use chaos::{fig13_adaptive, Fig13, Fig13Row};
 pub use figures::*;
+// The figure sweep runs on the planning service's worker pool: `par_map`
+// returns results in input order, so output is byte-identical for any
+// `set_jobs` worker count (`0` means one worker per core).
+pub use mashup_serve::pool::{jobs, par_map, set_jobs};
 pub use plan_cache::{plan_cache, plan_cache_enabled, plan_cache_stats, set_plan_cache_enabled};
 pub use preflight::preflight_paper_inputs;
 pub use strategies::run_strategy;
-pub use sweep::{jobs, par_map, set_jobs};
 pub use trace_dir::{set_trace_dir, trace_dir};

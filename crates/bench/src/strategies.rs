@@ -16,16 +16,25 @@ use mashup_dag::Workflow;
 /// Panics when the analyzer refuses the inputs: every figure input is
 /// preflighted up front (see [`crate::preflight_paper_inputs`]).
 pub fn run_strategy(cfg: &MashupConfig, workflow: &Workflow, strategy: Strategy) -> WorkflowReport {
+    recorded(strategy.label(), |tracer| {
+        strategy
+            .run(cfg, workflow, tracer, crate::plan_cache::plan_cache())
+            .unwrap_or_else(|e| panic!("{} on '{}': {e}", strategy.label(), workflow.name))
+    })
+}
+
+/// Runs `run` under a recording tracer when a trace directory is set, and
+/// writes what it recorded there as the trace of (report's workflow,
+/// `label`); under [`Tracer::off`] otherwise.
+pub(crate) fn recorded(label: &str, run: impl FnOnce(&Tracer) -> WorkflowReport) -> WorkflowReport {
     let tracer = if crate::trace_dir::trace_dir().is_some() {
         Tracer::new()
     } else {
         Tracer::off()
     };
-    let report = strategy
-        .run(cfg, workflow, &tracer, crate::plan_cache::plan_cache())
-        .unwrap_or_else(|e| panic!("{} on '{}': {e}", strategy.label(), workflow.name));
+    let report = run(&tracer);
     if tracer.is_on() {
-        crate::trace_dir::write_trace(&report.workflow, strategy.label(), &tracer.take());
+        crate::trace_dir::write_trace(&report.workflow, label, &tracer.take());
     }
     report
 }

@@ -23,6 +23,15 @@ pub fn engine_params(cfg: &MashupConfig) -> EngineParams {
     }
 }
 
+/// The environment the analyzer's plan checks evaluate a placement in.
+pub fn plan_context(cfg: &MashupConfig) -> PlanContext<'_> {
+    PlanContext {
+        faas: &cfg.provider.faas,
+        wan_bps: cfg.cluster.instance.wan_bps,
+        checkpoint_margin_secs: cfg.checkpoint_margin_secs,
+    }
+}
+
 /// Runs the M1xx workflow and M3xx config checks — plus the M2xx plan
 /// checks when a plan is supplied — and partitions the findings: `Ok` is
 /// the (possibly empty) warning list, `Err` carries everything when any
@@ -39,12 +48,7 @@ pub fn preflight(
         &engine_params(cfg),
     ));
     if let Some(plan) = plan {
-        let ctx = PlanContext {
-            faas: &cfg.provider.faas,
-            wan_bps: cfg.cluster.instance.wan_bps,
-            checkpoint_margin_secs: cfg.checkpoint_margin_secs,
-        };
-        diags.extend(analyze_plan(workflow, plan, &ctx));
+        diags.extend(analyze_plan(workflow, plan, &plan_context(cfg)));
     }
     into_result(diags)
 }

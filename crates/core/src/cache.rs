@@ -186,6 +186,16 @@ impl CacheStats {
             + self.phase_profiles.misses
     }
 
+    /// Hit fraction across stages in percent (0 when nothing was queried).
+    pub fn hit_pct(&self) -> f64 {
+        let total = self.hits() + self.misses();
+        if total == 0 {
+            0.0
+        } else {
+            self.hits() as f64 * 100.0 / total as f64
+        }
+    }
+
     /// Total stored entries across stages.
     pub fn entries(&self) -> u64 {
         self.calibration.entries
@@ -342,6 +352,8 @@ mod tests {
         assert_eq!(s.hits(), 2);
         assert_eq!(s.misses(), 1);
         assert_eq!(s.entries(), 1);
+        assert_eq!(s.hit_pct(), s.calibration.hit_pct());
         assert_eq!(SectionStats::default().hit_pct(), 0.0);
+        assert_eq!(CacheStats::default().hit_pct(), 0.0);
     }
 }

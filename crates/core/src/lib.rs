@@ -38,7 +38,7 @@ mod placement;
 mod report;
 pub mod trace;
 
-pub use analysis::{engine_params, preflight};
+pub use analysis::{engine_params, plan_context, preflight};
 pub use cache::{
     CacheStats, PhaseProfileEntry, PlanCache, ProbeEntry, SectionStats, VmProfileEntry,
 };

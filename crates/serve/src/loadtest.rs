@@ -236,14 +236,7 @@ pub fn run_point(spec: &LoadTestSpec) -> LoadPoint {
         p99_ms: percentile(&mut latencies, 99.0),
         max_ms: latencies.last().copied().unwrap_or(0.0),
         mean_ms: mean,
-        cache_hit_pct: {
-            let (h, m) = (stats.cache.hits(), stats.cache.misses());
-            if h + m == 0 {
-                0.0
-            } else {
-                h as f64 * 100.0 / (h + m) as f64
-            }
-        },
+        cache_hit_pct: stats.cache.hit_pct(),
     }
 }
 

@@ -2,6 +2,9 @@
 
 use std::process::Command;
 
+/// The analyzer's fixtures; `bad_workflow.json` is structurally invalid.
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/analyze_fixtures");
+
 fn mashup() -> Command {
     Command::new(env!("CARGO_BIN_EXE_mashup"))
 }
@@ -40,6 +43,9 @@ fn plan_prints_decisions() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("FasterQ-Dump"));
     assert!(stdout.contains("profiling cost"));
+    // The calibrated factors and each task's probe time explain a decision.
+    assert!(stdout.contains("alpha=") && stdout.contains("store="));
+    assert!(stdout.contains("probe="));
 }
 
 #[test]
@@ -70,6 +76,66 @@ fn unknown_flags_fail_cleanly() {
     assert!(!out.status.success());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown flag"));
+}
+
+/// Each subcommand refuses what it does not read, naming it on stderr.
+#[test]
+fn flags_and_arguments_a_subcommand_does_not_read_are_refused() {
+    let bad = format!("{FIXTURES}/bad_workflow.json");
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["analyze", &bad, "--format", "json"],
+            "unknown flag '--format'",
+        ),
+        (
+            &["run", "SRAsearch", "--objective", "expense"],
+            "unknown flag '--objective'",
+        ),
+        (
+            &["plan", "SRAsearch", "--strategy", "kepler"],
+            "unknown flag '--strategy'",
+        ),
+        (
+            &["dot", "SRAsearch", "--nodes", "3"],
+            "unknown flag '--nodes'",
+        ),
+        (
+            &["validate", "SRAsearch", "extra"],
+            "unexpected argument 'extra'",
+        ),
+    ];
+    for (args, why) in cases {
+        let out = mashup().args(args).output().expect("binary runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+    }
+}
+
+/// `analyze` reports a workflow the other subcommands refuse as invalid.
+#[test]
+fn analyze_reports_every_finding_of_a_malformed_workflow() {
+    let out = mashup()
+        .args(["analyze", &format!("{FIXTURES}/bad_workflow.json")])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let golden = std::fs::read_to_string(format!("{FIXTURES}/golden/bad_workflow.pretty"))
+        .expect("read golden");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.starts_with("== config\n"), "{stdout}");
+    assert!(stdout.ends_with(&golden), "{stdout}");
+}
+
+#[test]
+fn analyze_suite_is_clean() {
+    let out = mashup()
+        .args(["analyze", "--suite"])
+        .output()
+        .expect("binary runs");
+    assert!(out.status.success());
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("== 1000Genome"), "{stdout}");
 }
 
 #[test]
